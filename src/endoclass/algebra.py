@@ -297,37 +297,65 @@ def is_curled(A: StructureMatrix) -> bool:
     return True
 
 
+def straight_generators(t: FieldTables, m: tuple[int, ...]):
+    """Every change of basis that carries the algebra with structure codes
+    m onto a straight normal form, as codes (x, y, z, w, params): the
+    transform X = ((x, y), (z, w)) rewrites m as the S-form whose
+    (p, q, a, b, c, d) codes are params.
+
+    One candidate per nonzero element x = u e + v f (e-coefficient
+    cycling fastest) with {x, x^2} independent, rewritten on the basis
+    {x, x^2}.  A transform onto an S-form is fixed by where it sends the
+    new e, so each such X in GL2 arises exactly once: at most q^2 - 1
+    candidates instead of the (q^2-1)(q^2-q) elements of GL2.
+    """
+    q, add, sub, mul, neg, inv = t.q, t.add, t.sub, t.mul, t.neg, t.inv
+    r1e, r1f, r2e, r2f, r3e, r3f, r4e, r4f = m
+    sqe, sqf = _square_tables(t, m)
+    for v in range(q):
+        for u in range(q):
+            i = u * q + v
+            s, s2 = sqe[i], sqf[i]
+            det = sub[mul[u][s2]][mul[v][s]]
+            if not det:  # x = 0 or x^2 in the span of x
+                continue
+            di = inv[det]
+
+            def coords(ce, cf):
+                # old coordinates (ce, cf) in the basis {x, x^2}
+                return (mul[sub[mul[ce][s2]][mul[cf][s]]][di],
+                        mul[sub[mul[u][cf]][mul[v][ce]]][di])
+
+            j = s * q + s2
+            p_, q_ = coords(sqe[j], sqf[j])  # x^2 * x^2
+            # x * x^2 and x^2 * x share their e*e and f*f terms
+            us, vs2, us2, vs = mul[u][s], mul[v][s2], mul[u][s2], mul[v][s]
+            se = add[mul[us][r1e]][mul[vs2][r2e]]
+            sf = add[mul[us][r1f]][mul[vs2][r2f]]
+            a_, b_ = coords(add[se][add[mul[us2][r3e]][mul[vs][r4e]]],  # x * x^2
+                            add[sf][add[mul[us2][r3f]][mul[vs][r4f]]])
+            c_, d_ = coords(add[se][add[mul[vs][r3e]][mul[us2][r4e]]],  # x^2 * x
+                            add[sf][add[mul[vs][r3f]][mul[us2][r4f]]])
+            # M = ((u, s), (v, s2)) has the new basis x, x^2 as columns;
+            # X = (M^-1)^T has the old basis in new coordinates as rows
+            yield (mul[s2][di], mul[neg[v]][di], mul[neg[s]][di], mul[u][di],
+                   (p_, q_, a_, b_, c_, d_))
+
+
 def to_straight_form(A: StructureMatrix):
     """Straight normal form of A: (SParams, basis-change Transform), or
     None when A is curled.
 
-    Picks the first element x (e-coefficient cycling fastest) whose pair
-    {x, x^2} is independent and rewrites A on the basis {x, x^2}.  The
-    returned transform X satisfies transform(A, X) == params.to_structure_matrix().
+    Takes the first candidate of `straight_generators`.  The returned
+    transform X satisfies transform(A, X) == params.to_structure_matrix().
     """
-    from .iso import Transform, transform
+    from .iso import Transform
 
     t = _require_finite(A, "straight-form reduction")
-    q, sub, mul = t.q, t.sub, t.mul
-    sqe, sqf = _square_tables(t, A.codes())
-    field = A.field
-    for v in range(q):
-        for u in range(q):
-            if u == 0 and v == 0:
-                continue
-            i = u * q + v
-            s, s2 = sqe[i], sqf[i]
-            if sub[mul[u][s2]][mul[v][s]]:
-                # M's columns are the new basis vectors x, x^2 in old
-                # coordinates; the change-of-basis transform has the old
-                # basis in new coordinates as its rows, i.e. X = (M^-1)^T
-                dec = field.element_of_code
-                Mi = Transform(dec(u), dec(s), dec(v), dec(s2)).inverse()
-                X = Transform(Mi.x, Mi.z, Mi.y, Mi.w)
-                B = transform(A, X)
-                params = SParams(B.rows[1][0], B.rows[1][1], B.rows[2][0],
-                                 B.rows[2][1], B.rows[3][0], B.rows[3][1])
-                return params, X
+    dec = A.field.element_of_code
+    for x, y, z, w, params in straight_generators(t, A.codes()):
+        return (SParams.from_codes(A.field, params),
+                Transform(dec(x), dec(y), dec(z), dec(w)))
     return None
 
 

@@ -4,8 +4,10 @@ The pipeline over a finite field K:
 
   1. scan all S(0, q, a, b, c, d) with a, c != 0 through the closed-form
      endo-commutativity system (q^5 tuples, integer-coded),
-  2. partition the survivors into isomorphism classes by exhaustive GL2
-     orbit scans seeded at the enumeration-least unassigned member,
+  2. partition the survivors into isomorphism classes by orbit scans
+     over the q^2 - 1 straight generators of the enumeration-least
+     unassigned member (an isomorphism onto an S-form is fixed by where
+     it sends x), checking orbit-stabilizer counts on the way,
   3. build the predicted family catalog (two shapes for characteristic
      != 2, two for characteristic 2, each parametrized by complete
      representative systems of the relations in `equiv`),
@@ -20,10 +22,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import SParams, _ec_straight_codes, is_endo_commutative_straight, type_of, AlgebraType
+from .algebra import (SParams, _TYPE_BY_PATTERN, _ec_straight_codes,
+                      is_endo_commutative_straight, type_of, AlgebraType)
 from .equiv import RelationId, rep_system
-from .fields import Field, FieldElement, FieldTables, InfiniteFieldError
-from .iso import Transform, apply_transform_codes, gl2_lifted, gl2_order
+from .fields import Field, FieldElement, InfiniteFieldError
+from .iso import Transform, sform_orbit
 
 MAX_ENUM_ORDER = 256
 MAX_VERIFY_ORDER = 49
@@ -56,38 +59,9 @@ def _require_finite(field: Field, guard: int, what: str) -> int:
     return q
 
 
-class UnionFind:
-    """Array-based union-find with path compression."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> None:
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            # keep the smaller index as root so representatives are
-            # enumeration-least
-            if ri > rj:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
-
-
 # ---------------------------------------------------------------------------
 # type-II1 enumeration and subclass inventory
 # ---------------------------------------------------------------------------
-
-def _sparams_codes_to_matrix_codes(codes6):
-    p, q, a, b, c, d = codes6
-    return (0, 1, p, q, a, b, c, d)
-
 
 def enumerate_type_ii1(field: Field) -> list[SParams]:
     """All endo-commutative S(0, q, a, b, c, d) with a, c != 0, in
@@ -180,83 +154,30 @@ def enumerate_subclasses(field: Field) -> SubclassInventory:
 @dataclass
 class IsoClass:
     """One isomorphism class: representative is the enumeration-least
-    member; witnesses[i] carries the representative onto members[i]."""
+    member; witnesses[i] carries the representative onto members[i].
+
+    generators counts the straight generators of the representative and
+    automorphisms those carrying it onto itself; outside lists the
+    S-forms of its orbit that are absent from the partitioned list (for
+    the type-II1 scan: presentations of other types).
+    """
 
     representative: SParams
     members: list[SParams]
     member_indices: list[int]
     witnesses: list[Transform]
+    generators: int
+    automorphisms: int
+    outside: list[SParams]
 
 
-def _orbit_first_hits(t: FieldTables, gl2_iterable, src, key_to_index):
-    hits: dict[int, tuple[int, int, int, int]] = {}
-    get = key_to_index.get
-    for x, y, z, w, L in gl2_iterable:
-        j = get(apply_transform_codes(t, L, src, x, y, z, w))
-        if j is not None and j not in hits:
-            hits[j] = (x, y, z, w)
-    return hits
-
-
-# worker-side state for --jobs parallelism (fork start method)
-_POOL_STATE: dict = {}
-
-
-def _pool_init(spec: str):
-    from .fields import field_from_spec
-    f = field_from_spec(spec)
-    _POOL_STATE["tables"] = f.tables()
-    _POOL_STATE["gl2"] = list(gl2_lifted(f))
-
-
-def _pool_scan(args):
-    src, keymap, chunk_index, chunk_count = args
-    t = _POOL_STATE["tables"]
-    gl2 = _POOL_STATE["gl2"]
-    n = len(gl2)
-    lo = chunk_index * n // chunk_count
-    hi = (chunk_index + 1) * n // chunk_count
-    return _orbit_first_hits(t, gl2[lo:hi], src, keymap)
-
-
-class _ParallelScanner:
-    """Splits one orbit scan across a fork pool, merging earliest-first."""
-
-    def __init__(self, field: Field, jobs: int):
-        import multiprocessing as mp
-        ctx = mp.get_context("fork")
-        self.jobs = jobs
-        self.pool = ctx.Pool(jobs, initializer=_pool_init,
-                             initargs=(field.spec_string(),))
-
-    def scan(self, t, src, keymap):
-        results = self.pool.map(
-            _pool_scan,
-            [(src, keymap, i, self.jobs) for i in range(self.jobs)])
-        merged: dict[int, tuple[int, int, int, int]] = {}
-        for part in results:  # chunks are in ascending GL2 order
-            for j, xc in part.items():
-                if j not in merged:
-                    merged[j] = xc
-        return merged
-
-    def close(self):
-        self.pool.close()
-        self.pool.join()
-
-
-def _supports_fork() -> bool:
-    import multiprocessing as mp
-    return "fork" in mp.get_all_start_methods()
-
-
-def iso_classes(algebras, jobs: int = 1) -> list[IsoClass]:
+def iso_classes(algebras) -> list[IsoClass]:
     """Partition S-form algebras into isomorphism classes.
 
-    Exhaustive GL2 orbit scans from each enumeration-least unassigned
-    member feed a union-find; each recorded witness is the first X in
-    (x, y, z, w) enumeration order with transform(seed, X) = member,
-    exactly what a pairwise are_isomorphic call would return.
+    Each class is the orbit of its enumeration-least member, the seed,
+    found by one `sform_orbit` scan; each recorded witness is the
+    lexicographically least X with transform(seed, X) = member, exactly
+    what a pairwise are_isomorphic call would return.
     """
     algebras = list(algebras)
     if not algebras:
@@ -267,61 +188,30 @@ def iso_classes(algebras, jobs: int = 1) -> list[IsoClass]:
             raise ValueError("all algebras must live over one field")
     _require_finite(field, MAX_ENUM_ORDER, "isomorphism classification")
     t = field.tables()
-    n = len(algebras)
-    codes = [_sparams_codes_to_matrix_codes(sp.codes()) for sp in algebras]
-    key_to_index: dict[tuple, int] = {}
-    uf = UnionFind(n)
-    witness_codes: dict[int, tuple[int, int, int, int]] = {}
-    duplicates = []
-    for i, key in enumerate(codes):
-        if key in key_to_index:
-            uf.union(key_to_index[key], i)
-            duplicates.append(i)
-        else:
-            key_to_index[key] = i
-
-    scanner = None
-    if jobs > 1 and _supports_fork() and gl2_order(t.q) <= 700_000:
-        scanner = _ParallelScanner(field, jobs)
-    assigned = [False] * n
-    duplicates = set(duplicates)
-    try:
-        for i in range(n):
-            if assigned[i] or i in duplicates:
-                continue
-            assigned[i] = True
-            if scanner:
-                hits = scanner.scan(t, codes[i], key_to_index)
-            else:
-                # gl2_lifted is re-requested per seed: cached fields hand
-                # back one shared list, larger fields a fresh generator
-                hits = _orbit_first_hits(t, gl2_lifted(field), codes[i], key_to_index)
-            for j, xc in hits.items():
-                if j == i:
-                    witness_codes[i] = xc
-                else:
-                    uf.union(i, j)
-                    assigned[j] = True
-                    witness_codes[j] = xc
-    finally:
-        if scanner:
-            scanner.close()
-    for i in duplicates:
-        assigned[i] = True
-        witness_codes[i] = witness_codes[key_to_index[codes[i]]]
+    positions: dict[tuple, list[int]] = {}
+    for i, sp in enumerate(algebras):
+        positions.setdefault(sp.codes(), []).append(i)
 
     dec = field.element_of_code
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
+    assigned = [False] * len(algebras)
     out = []
-    for root in sorted(groups):
-        members = sorted(groups[root])
-        wits = [Transform(*(dec(c) for c in witness_codes[i])) for i in members]
-        out.append(IsoClass(representative=algebras[root],
-                            members=[algebras[i] for i in members],
-                            member_indices=members,
-                            witnesses=wits))
+    for i, seed in enumerate(algebras):
+        if assigned[i]:
+            continue
+        least, generators, automorphisms = sform_orbit(t, (0, 1) + seed.codes())
+        hits = sorted((j, xc) for params, xc in least.items()
+                      for j in positions.get(params, ()))
+        for j, _ in hits:
+            assigned[j] = True
+        out.append(IsoClass(
+            representative=seed,
+            members=[algebras[j] for j, _ in hits],
+            member_indices=[j for j, _ in hits],
+            witnesses=[Transform(*(dec(c) for c in xc)) for _, xc in hits],
+            generators=generators,
+            automorphisms=automorphisms,
+            outside=[SParams.from_codes(field, params)
+                     for params in sorted(least) if params not in positions]))
     return out
 
 
@@ -480,15 +370,18 @@ class ClassificationReport:
         return "\n".join(lines)
 
 
-def verify_classification(field: Field, jobs: int = 1) -> ClassificationReport:
+def verify_classification(field: Field) -> ClassificationReport:
     """Check the predicted families against the brute-force partition.
 
     Passes iff (a) every predicted member is an endo-commutative
     type-II1 straight algebra, (b) predicted members are pairwise
     non-isomorphic, (c) the exhaustive partition has exactly as many
-    classes as predicted members, and (d) every class contains exactly
-    one predicted member.  (b) is witnessed by the exhausted orbit
-    scans underlying (d).
+    classes as predicted members, (d) every class contains exactly
+    one predicted member, and (e) every orbit passes the
+    orbit-stabilizer check: its S-forms times the automorphisms of the
+    representative number its straight generators, and none of its
+    type-II1 S-forms is missing from the scan.  (b) is witnessed by the
+    exhausted orbit scans underlying (d).
     """
     _require_finite(field, MAX_VERIFY_ORDER, "classification verification")
     failures: list[str] = []
@@ -501,7 +394,19 @@ def verify_classification(field: Field, jobs: int = 1) -> ClassificationReport:
             failures.append(f"predicted {label} = {sp} is not of type II1")
 
     scan = enumerate_type_ii1(field)
-    classes = iso_classes(scan, jobs=jobs)
+    classes = iso_classes(scan)
+
+    for ci, cls in enumerate(classes):
+        orbit = len(cls.members) + len(cls.outside)
+        if orbit * cls.automorphisms != cls.generators:
+            failures.append(
+                f"orbit-stabilizer check: class {ci} has {orbit} S-forms and "
+                f"{cls.automorphisms} automorphisms but {cls.generators} straight generators")
+        for sp in cls.outside:
+            if _TYPE_BY_PATTERN[(bool(sp.p), bool(sp.a), bool(sp.c))] is AlgebraType.II_1:
+                failures.append(
+                    f"orbit-stabilizer check: class {ci} reaches the type-II1 "
+                    f"S-form {sp}, which is absent from the scan")
 
     member_to_class: dict[tuple, tuple[int, int]] = {}
     for ci, cls in enumerate(classes):
@@ -586,18 +491,7 @@ def enumerate_type(field: Field, type_name: str, subclass: int | None = None) ->
                                 continue
                             pattern = (pc != 0, ac != 0, cc != 0)
                             sp = SParams.from_codes(field, (pc, qc, ac, bc, cc, dc))
-                            if _PATTERN_TYPE[pattern] in wanted:
+                            if _TYPE_BY_PATTERN[pattern] in wanted:
                                 out.append(sp)
     return out
 
-
-_PATTERN_TYPE = {
-    (False, False, False): AlgebraType.NOT_RANK_2,
-    (False, False, True): AlgebraType.I_001,
-    (False, True, False): AlgebraType.I_010,
-    (True, False, False): AlgebraType.I_100,
-    (False, True, True): AlgebraType.II_1,
-    (True, False, True): AlgebraType.II_2,
-    (True, True, False): AlgebraType.II_3,
-    (True, True, True): AlgebraType.III,
-}

@@ -42,8 +42,12 @@ def _emit_json(obj: dict, stream=None) -> None:
 
 def _parse_sparams(field: Field, text: str) -> SParams:
     text = text.strip()
-    if text.startswith("{"):
-        return SParams.from_json(field, json.loads(text))
+    if text.startswith(("{", "[")):
+        obj = json.loads(text)
+        if not (isinstance(obj, dict) and all(isinstance(obj.get(k), str) for k in "pqabcd")):
+            raise FieldError("a JSON S-tuple must be an object with string values "
+                             f"for p, q, a, b, c and d, got {text!r}")
+        return SParams.from_json(field, obj)
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != 6:
         raise FieldError(f"expected 6 comma-separated values or a JSON object, got {text!r}")
@@ -152,7 +156,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_classes(args) -> int:
     field = field_from_spec(args.field)
-    partition = iso_classes(enumerate_type(field, "II1"), jobs=args.jobs)
+    partition = iso_classes(enumerate_type(field, "II1"))
     if args.format == "json":
         _emit_json({"field": field.spec_string(),
                     "classes": [{"index": i,
@@ -169,7 +173,7 @@ def cmd_classes(args) -> int:
 
 def cmd_verify(args) -> int:
     field = field_from_spec(args.field)
-    report = verify_classification(field, jobs=args.jobs)
+    report = verify_classification(field)
     if args.format == "json":
         _emit_json(report.to_json_dict())
         print(report.summary_text(), file=sys.stderr)
@@ -233,11 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-bound", type=int,
                    help="bounded refutation search over F2(X) for sim2/sim4")
 
+    jobs_help = "accepted for compatibility; has no effect (the partition runs in one process)"
     p = add("classes", cmd_classes, "isomorphism partition of the type-II1 scan")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=jobs_help)
 
     p = add("verify", cmd_verify, "verify the predicted families against the partition")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help=jobs_help)
 
     p = add("table", cmd_table, "render the 2x2 multiplication table", fmt_default="text")
     p.add_argument("--algebra", required=True,

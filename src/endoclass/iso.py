@@ -14,18 +14,20 @@ structure matrices present isomorphic algebras exactly when some
 X in GL2 carries one to the other, and such an X is called a
 transformation matrix for the isomorphism.
 
-Brute-force search enumerates all (q^2-1)(q^2-q) invertible matrices
-in lexicographic (x, y, z, w) element-code order and returns the first
-witness, so results are reproducible.  The search runs on integer
-codes; lifted inverses are precomputed per field when the group is
-small enough to cache.
+The search returns the lexicographically least witness in (x, y, z, w)
+element-code order, so results are reproducible.  When the target is
+an S-form, every witness rewrites the source on a basis {x, x^2}, so
+the search runs over the at most q^2 - 1 straight generators x of the
+source (`sform_orbit`); any other target falls back to enumerating all
+(q^2-1)(q^2-q) invertible matrices in lexicographic order.  Both run on
+integer codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import SParams, StructureMatrix
+from .algebra import SParams, StructureMatrix, straight_generators
 from .fields import Field, FieldElement, FieldMismatchError, FieldTables, InfiniteFieldError
 
 
@@ -216,10 +218,6 @@ def gl2_order(q: int) -> int:
     return (q * q - 1) * (q * q - q)
 
 
-_GL2_CACHE: dict = {}
-_GL2_CACHE_LIMIT = 700_000
-
-
 def _lifted_inverse_codes(t: FieldTables, x: int, y: int, z: int, w: int):
     """Lift of X^(-1) as a flat 16-tuple of codes (det must be nonzero)."""
     mul, sub, neg, inv = t.mul, t.sub, t.neg, t.inv
@@ -235,8 +233,10 @@ def _lifted_inverse_codes(t: FieldTables, x: int, y: int, z: int, w: int):
             ac, bd, bc, ad)
 
 
-def _iter_gl2(t: FieldTables):
-    """(x, y, z, w, lifted inverse) in lexicographic code order."""
+def gl2_lifted(field: Field):
+    """(x, y, z, w, lifted inverse) over all of GL2, in lexicographic
+    code order."""
+    t = field.tables()
     q, mul, sub = t.q, t.mul, t.sub
     rng = range(q)
     for x in rng:
@@ -248,19 +248,6 @@ def _iter_gl2(t: FieldTables):
                 for w in rng:
                     if sub[mx[w]][yz]:
                         yield x, y, z, w, _lifted_inverse_codes(t, x, y, z, w)
-
-
-def gl2_lifted(field: Field):
-    """All of GL2 with precomputed lifted inverses; cached when small."""
-    t = field.tables()
-    if gl2_order(t.q) > _GL2_CACHE_LIMIT:
-        return _iter_gl2(t)
-    key = field.descriptor
-    cached = _GL2_CACHE.get(key)
-    if cached is None:
-        cached = list(_iter_gl2(t))
-        _GL2_CACHE[key] = cached
-    return cached
 
 
 def apply_transform_codes(t: FieldTables, L, A, x: int, y: int, z: int, w: int):
@@ -277,8 +264,31 @@ def apply_transform_codes(t: FieldTables, L, A, x: int, y: int, z: int, w: int):
     return tuple(out)
 
 
+def sform_orbit(t: FieldTables, m):
+    """The S-forms isomorphic to the algebra with structure codes m.
+
+    Returns (least, generators, automorphisms): `least` maps the
+    (p, q, a, b, c, d) codes of each S-form in the orbit to the
+    lexicographically least X codes carrying m onto it; `generators`
+    counts the straight generators of m and `automorphisms` those that
+    carry m onto itself (0 unless m is an S-form).  The generators are
+    not visited in X order, hence the minimum.
+    """
+    own = m[2:] if m[:2] == (0, 1) else None
+    least: dict[tuple, tuple[int, int, int, int]] = {}
+    generators = automorphisms = 0
+    for x, y, z, w, params in straight_generators(t, m):
+        generators += 1
+        automorphisms += params == own
+        X = (x, y, z, w)
+        best = least.get(params)
+        if best is None or X < best:
+            least[params] = X
+    return least, generators, automorphisms
+
+
 def are_isomorphic(A: StructureMatrix, A2: StructureMatrix):
-    """First GL2 witness carrying A onto A2, or None after exhausting GL2."""
+    """Lexicographically least X in GL2 carrying A onto A2, or None."""
     if A.field != A2.field:
         raise FieldMismatchError("can only compare algebras over one field")
     if not A.field.is_finite:
@@ -286,8 +296,12 @@ def are_isomorphic(A: StructureMatrix, A2: StructureMatrix):
     t = A.field.tables()
     src = A.codes()
     target = A2.codes()
+    if target[:2] == (0, 1):
+        found = sform_orbit(t, src)[0].get(target[2:])
+    else:
+        found = next(((x, y, z, w) for x, y, z, w, L in gl2_lifted(A.field)
+                      if apply_transform_codes(t, L, src, x, y, z, w) == target), None)
+    if found is None:
+        return None
     dec = A.field.element_of_code
-    for x, y, z, w, L in gl2_lifted(A.field):
-        if apply_transform_codes(t, L, src, x, y, z, w) == target:
-            return Transform(dec(x), dec(y), dec(z), dec(w))
-    return None
+    return Transform(*(dec(c) for c in found))

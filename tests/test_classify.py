@@ -202,10 +202,26 @@ def test_verify_cross_family_members_stay_apart():
             assert are_isomorphic(base, s.to_structure_matrix()) is None
 
 
-def test_verify_jobs_deterministic():
-    seq = verify_classification(F3, jobs=1).to_json_dict()
-    par = verify_classification(F3, jobs=2).to_json_dict()
-    assert seq == par
+def test_verify_orbit_stabilizer_catches_a_dropped_member(monkeypatch):
+    import endoclass.classify as classify
+    full = enumerate_type_ii1(F5)
+    predicted = {s.codes() for _, s in theorem_families(F5)}
+    dropped = next(s for s in full if s.codes() not in predicted)
+    monkeypatch.setattr(classify, "enumerate_type_ii1",
+                        lambda field: [s for s in full if s != dropped])
+    report = verify_classification(F5)
+    assert not report.verdict
+    assert any("orbit-stabilizer" in f and str(dropped) in f for f in report.failures)
+
+
+def test_orbit_stabilizer_counts_f5():
+    # |orbit| * |Aut(rep)| = number of straight generators, where the
+    # orbit also holds the S-forms of other types outside the II1 scan
+    classes = iso_classes(enumerate_type_ii1(F5))
+    assert any(c.outside for c in classes)
+    for c in classes:
+        assert (len(c.members) + len(c.outside)) * c.automorphisms == c.generators
+        assert all(type_of(s) is not AlgebraType.II_1 for s in c.outside)
 
 
 def test_verify_f16_char2_pattern():

@@ -190,6 +190,30 @@ def test_bad_jobs_rejected(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "classes"])
+def test_jobs_flag_has_no_effect_on_output(capsys, command):
+    _, out1, _ = run_cli(capsys, command, "--field", "F3", "--jobs", "1")
+    _, out2, _ = run_cli(capsys, command, "--field", "F3", "--jobs", "2")
+    assert out1 == out2
+
+
+@pytest.mark.parametrize("command,option", [("iso", "--lhs"), ("table", "--algebra")])
+@pytest.mark.parametrize("sparams", [
+    '{"p":"0"}',                                          # missing keys
+    '[1]',                                                # not an object
+    '{"p":0,"q":1,"a":1,"b":0,"c":-1,"d":2}',             # numbers, not strings
+    '{"p":null,"q":"1","a":"1","b":"0","c":"-1","d":"2"}',
+])
+def test_malformed_json_sparams_is_usage_error(capsys, command, option, sparams):
+    argv = [command, "--field", "F5", option, sparams]
+    if command == "iso":
+        argv += ["--rhs", "0,1,1,0,-1,2"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("endoclass: error:") and err.count("\n") == 1
+
+
 def test_equiv_without_mode_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "equiv", "--field", "F7", "--relation", "sim1")
     assert code == 2
