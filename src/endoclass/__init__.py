@@ -10,9 +10,8 @@ brute-force isomorphism partition.
 __version__ = "0.1.0"
 
 from .fields import (FieldDescriptor, Field, FieldElement, FieldError,
-                     FieldMismatchError, InfiniteFieldError,
-                     UndecidedByConfiguration, field_make, field_from_spec,
-                     enumerate_elements, is_square)
+                     FieldMismatchError, InfiniteFieldError, field_make,
+                     field_from_spec, enumerate_elements, is_square)
 from .algebra import (AlgebraElement, AlgebraType, NotEndoCommutative, SParams,
                       StructureMatrix, basis, element, ii1_subclass, is_curled,
                       is_endo_commutative_definitional, is_endo_commutative_straight,
@@ -31,7 +30,7 @@ from .classify import (ClassificationReport, FamilyLabel, IsoClass,
 __all__ = [
     "__version__",
     "FieldDescriptor", "Field", "FieldElement", "FieldError",
-    "FieldMismatchError", "InfiniteFieldError", "UndecidedByConfiguration",
+    "FieldMismatchError", "InfiniteFieldError",
     "field_make", "field_from_spec", "enumerate_elements", "is_square",
     "AlgebraElement", "AlgebraType", "NotEndoCommutative", "SParams",
     "StructureMatrix", "basis", "element", "ii1_subclass", "is_curled",

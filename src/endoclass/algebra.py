@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .fields import Field, FieldElement, FieldMismatchError, FieldTables, InfiniteFieldError
+from .fields import Field, FieldElement, FieldMismatchError, FieldTables
 
 ROW_LABELS = ("e*e", "f*f", "e*f", "f*e")
 
@@ -184,12 +184,6 @@ def square(A: StructureMatrix, x: AlgebraElement) -> AlgebraElement:
 # endo-commutativity
 # ---------------------------------------------------------------------------
 
-def _require_finite(A: StructureMatrix, what: str) -> FieldTables:
-    if not A.field.is_finite:
-        raise InfiniteFieldError(f"{what} requires a finite field")
-    return A.field.tables()
-
-
 def _square_tables(t: FieldTables, m: tuple[int, ...]):
     """Coordinates of (u e + v f)^2 for every element code pair, flat u*q+v."""
     q, add, mul = t.q, t.add, t.mul
@@ -237,8 +231,7 @@ def _ec_definitional_codes(t: FieldTables, m: tuple[int, ...]) -> bool:
 
 def is_endo_commutative_definitional(A: StructureMatrix) -> bool:
     """Exhaustive check of x^2 y^2 = (x y)^2 over all q^4 element pairs."""
-    t = _require_finite(A, "the definitional endo-commutativity check")
-    return _ec_definitional_codes(t, A.codes())
+    return _ec_definitional_codes(A.field.tables(), A.codes())
 
 
 def is_endo_commutative_straight(S: SParams) -> bool:
@@ -286,7 +279,7 @@ def _ec_straight_codes(t: FieldTables, pc, qc, ac, bc, cc, dc) -> bool:
 
 def is_curled(A: StructureMatrix) -> bool:
     """True iff x^2 lies in the span of x for every element x."""
-    t = _require_finite(A, "the curledness check")
+    t = A.field.tables()
     q, sub, mul = t.q, t.sub, t.mul
     sqe, sqf = _square_tables(t, A.codes())
     for u in range(q):
@@ -351,7 +344,7 @@ def to_straight_form(A: StructureMatrix):
     """
     from .iso import Transform
 
-    t = _require_finite(A, "straight-form reduction")
+    t = A.field.tables()
     dec = A.field.element_of_code
     for x, y, z, w, params in straight_generators(t, A.codes()):
         return (SParams.from_codes(A.field, params),
@@ -421,6 +414,12 @@ def ii1_subclass(S: SParams) -> int:
     3 if b,q!=0, d=0; 4 otherwise."""
     if type_of(S) is not AlgebraType.II_1:
         raise ValueError(f"{S} is not of type II1")
+    return _ii1_stratum(S)
+
+
+def _ii1_stratum(S: SParams) -> int:
+    """The (b, q, d) rule of `ii1_subclass`, for S already known to be an
+    endo-commutative type-II1 S-form."""
     if not S.b:
         return 1
     if not S.q:

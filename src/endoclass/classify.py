@@ -22,10 +22,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import (SParams, _TYPE_BY_PATTERN, _ec_straight_codes,
+from .algebra import (SParams, _TYPE_BY_PATTERN, _ec_straight_codes, _ii1_stratum,
                       is_endo_commutative_straight, type_of, AlgebraType)
 from .equiv import RelationId, rep_system
-from .fields import Field, FieldElement, InfiniteFieldError
+from .fields import Field, FieldElement
 from .iso import Transform, sform_orbit
 
 MAX_ENUM_ORDER = 256
@@ -37,21 +37,19 @@ class OversizedFieldError(ValueError):
     """The field is larger than the configured guard for this operation."""
 
 
-def _max_q(default: int) -> int:
+def _guarded_order(field: Field, guard: int, what: str) -> int:
+    """The order q of a finite field, refused when q exceeds the size
+    guard of the operation (ENDOCLASS_MAX_Q replaces the guard)."""
+    q = field.order()
+    if q is None:
+        field.tables()  # raises InfiniteFieldError
+    limit = guard
     value = os.environ.get(ENV_MAX_Q)
     if value:
         try:
-            return int(value)
+            limit = int(value)
         except ValueError:
             raise OversizedFieldError(f"{ENV_MAX_Q} must be an integer, got {value!r}") from None
-    return default
-
-
-def _require_finite(field: Field, guard: int, what: str) -> int:
-    if not field.is_finite:
-        raise InfiniteFieldError(f"{what} needs a finite field")
-    q = field.order()
-    limit = _max_q(guard)
     if q > limit:
         raise OversizedFieldError(
             f"{what} is guarded to q <= {limit} (got q = {q}); "
@@ -66,7 +64,7 @@ def _require_finite(field: Field, guard: int, what: str) -> int:
 def enumerate_type_ii1(field: Field) -> list[SParams]:
     """All endo-commutative S(0, q, a, b, c, d) with a, c != 0, in
     lexicographic (q, a, b, c, d) code order."""
-    qsize = _require_finite(field, MAX_ENUM_ORDER, "the type-II1 scan")
+    qsize = _guarded_order(field, MAX_ENUM_ORDER, "the type-II1 scan")
     t = field.tables()
     out = []
     rng = range(qsize)
@@ -79,16 +77,6 @@ def enumerate_type_ii1(field: Field) -> list[SParams]:
                         if _ec_straight_codes(t, 0, qc, ac, bc, cc, dc):
                             out.append(SParams.from_codes(field, (0, qc, ac, bc, cc, dc)))
     return out
-
-
-def _subclass_index(sp: SParams) -> int:
-    if not sp.b:
-        return 1
-    if not sp.q:
-        return 2
-    if not sp.d:
-        return 3
-    return 4
 
 
 @dataclass
@@ -143,7 +131,7 @@ def enumerate_subclasses(field: Field) -> SubclassInventory:
     scan = enumerate_type_ii1(field)
     direct: dict[int, list[SParams]] = {1: [], 2: [], 3: [], 4: []}
     for sp in scan:
-        direct[_subclass_index(sp)].append(sp)
+        direct[_ii1_stratum(sp)].append(sp)
     return SubclassInventory(field, _closed_form_subclasses(field), direct, scan)
 
 
@@ -170,6 +158,12 @@ class IsoClass:
     automorphisms: int
     outside: list[SParams]
 
+    def to_json(self, index: int) -> dict:
+        return {"index": index,
+                "representative": self.representative.to_json(),
+                "size": len(self.members),
+                "members": [m.to_json() for m in self.members]}
+
 
 def iso_classes(algebras) -> list[IsoClass]:
     """Partition S-form algebras into isomorphism classes.
@@ -186,7 +180,7 @@ def iso_classes(algebras) -> list[IsoClass]:
     for sp in algebras:
         if sp.field != field:
             raise ValueError("all algebras must live over one field")
-    _require_finite(field, MAX_ENUM_ORDER, "isomorphism classification")
+    _guarded_order(field, MAX_ENUM_ORDER, "isomorphism classification")
     t = field.tables()
     positions: dict[tuple, list[int]] = {}
     for i, sp in enumerate(algebras):
@@ -261,7 +255,7 @@ def theorem_families(field: Field) -> list[tuple[FamilyLabel, SParams]]:
     S(0,t,t,0,t,0) over sim3; S(0,t,t,t,t,0) over sim4; and
     S(0, t^2/(1+t^2), t/(1+t^2), 1, t/(1+t^2), 1) for t in K* minus {1}.
     """
-    _require_finite(field, MAX_ENUM_ORDER, "the predicted family catalog")
+    _guarded_order(field, MAX_ENUM_ORDER, "the predicted family catalog")
     zero, one = field.zero(), field.one()
     out: list[tuple[FamilyLabel, SParams]] = []
     if field.characteristic() != 2:
@@ -337,11 +331,7 @@ class ClassificationReport:
             "counts": self.counts,
             "predicted": [{"label": label.to_json(), "params": sp.to_json()}
                           for label, sp in self.predicted],
-            "classes": [{"index": i,
-                         "representative": c.representative.to_json(),
-                         "size": len(c.members),
-                         "members": [m.to_json() for m in c.members]}
-                        for i, c in enumerate(self.classes)],
+            "classes": [c.to_json(i) for i, c in enumerate(self.classes)],
             "matching": [{"label": m.label.to_json(),
                           "params": m.params.to_json(),
                           "class": m.class_index,
@@ -383,7 +373,7 @@ def verify_classification(field: Field) -> ClassificationReport:
     type-II1 S-forms is missing from the scan.  (b) is witnessed by the
     exhausted orbit scans underlying (d).
     """
-    _require_finite(field, MAX_VERIFY_ORDER, "classification verification")
+    _guarded_order(field, MAX_VERIFY_ORDER, "classification verification")
     failures: list[str] = []
     predicted = theorem_families(field)
 
@@ -474,9 +464,9 @@ def enumerate_type(field: Field, type_name: str, subclass: int | None = None) ->
             return scan
         if subclass not in (1, 2, 3, 4):
             raise ValueError("subclass must be 1..4")
-        return [sp for sp in scan if _subclass_index(sp) == subclass]
+        return [sp for sp in scan if _ii1_stratum(sp) == subclass]
 
-    qsize = _require_finite(field, 9, f"the full type-{type_name} scan")
+    qsize = _guarded_order(field, 9, f"the full type-{type_name} scan")
     wanted = _TYPE_ALIASES[type_name]
     t = field.tables()
     out = []

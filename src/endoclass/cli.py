@@ -15,13 +15,14 @@ JSON is the canonical machine format (schema documented in README.md);
 every JSON document carries a "version" field.  Exit codes: 0 for
 success or a positive decision, 1 for a negative decision (not
 isomorphic, not related, no witness, failed verdict), 2 for usage
-errors.
+errors, 141 when the reader of stdout goes away (a closed pipe).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -33,11 +34,11 @@ from .fields import Field, FieldError, field_from_spec
 from .iso import are_isomorphic
 
 
-def _emit_json(obj: dict, stream=None) -> None:
+def _emit_json(obj: dict) -> None:
     obj = dict(obj)
     obj["version"] = __version__
-    json.dump(obj, stream or sys.stdout, sort_keys=True, indent=2)
-    (stream or sys.stdout).write("\n")
+    json.dump(obj, sys.stdout, sort_keys=True, indent=2)
+    sys.stdout.write("\n")
 
 
 def _parse_sparams(field: Field, text: str) -> SParams:
@@ -159,11 +160,7 @@ def cmd_classes(args) -> int:
     partition = iso_classes(enumerate_type(field, "II1"))
     if args.format == "json":
         _emit_json({"field": field.spec_string(),
-                    "classes": [{"index": i,
-                                 "representative": c.representative.to_json(),
-                                 "size": len(c.members),
-                                 "members": [m.to_json() for m in c.members]}
-                                for i, c in enumerate(partition)]})
+                    "classes": [c.to_json(i) for i, c in enumerate(partition)]})
     else:
         print(f"{len(partition)} classes over {field.spec_string()}")
         for i, c in enumerate(partition):
@@ -257,7 +254,14 @@ def main(argv=None) -> int:
     if getattr(args, "jobs", 1) < 1:
         parser.error("--jobs must be >= 1")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left (as `| head` does): say nothing, and keep the
+        # interpreter's final flush from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (FieldError, ValueError) as exc:
         print(f"endoclass: error: {exc}", file=sys.stderr)
         return 2

@@ -74,8 +74,6 @@ def _check_carrier(rel: RelationId, field: Field, t: FieldElement) -> None:
 
 def carrier_elements(rel: RelationId, field: Field) -> list[FieldElement]:
     """The relation's carrier in enumeration order (finite fields)."""
-    if not field.is_finite:
-        raise InfiniteFieldError(f"cannot enumerate the carrier of {field.spec_string()}")
     out = [el for el in field.elements() if el]
     if rel is RelationId.SIM5:
         minus4 = field.from_int(-4)
@@ -223,9 +221,6 @@ def rep_system(rel: RelationId, field: Field) -> RepSystem:
         gen_x = field.element((2, 1))
         return RepSystem(rel, field, (one, gen_x),
                          _rule=lambda t: gen_x if _f2x_sim3_is_x_class(t) else one)
-    if not field.is_finite:
-        raise InfiniteFieldError(
-            f"no representative system for {rel.value} over {field.spec_string()}")
     todo = carrier_elements(rel, field)
     reps: list[FieldElement] = []
     assign: dict = {}

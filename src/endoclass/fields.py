@@ -34,7 +34,11 @@ from . import gf2x
 
 MAX_PRIME = 97
 MAX_ORDER = 256
-DEFAULT_FACTOR_BOUND = 2**63
+MAX_DEGREE = 8
+# the largest exponent accepted in polynomial input: element strings,
+# moduli and F2(X) parts are expanded densely, so w^1000000 would
+# allocate (and reduce) a million coefficients
+MAX_EXPONENT = 4096
 
 KIND_PRIME = "prime"
 KIND_EXTENSION = "extension"
@@ -52,10 +56,6 @@ class InfiniteFieldError(FieldError):
 
 class FieldMismatchError(FieldError):
     """Operands belong to different fields."""
-
-
-class UndecidedByConfiguration(FieldError):
-    """The answer exists but lies beyond a configured computation bound."""
 
 
 def _is_prime(n: int) -> bool:
@@ -170,6 +170,8 @@ def _parse_poly(s: str, p: int) -> tuple[int, ...]:
             elif varname != m.group(2):
                 raise FieldError(f"mixed variables in polynomial: {s!r}")
             exp = int(m.group(3)) if m.group(3) is not None else 1
+            if exp > MAX_EXPONENT:
+                raise FieldError(f"exponent {exp} exceeds the supported maximum {MAX_EXPONENT}")
         else:
             exp = 0
         if exp >= len(coeffs):
@@ -363,24 +365,6 @@ class Field:
     def from_int(self, n: int) -> FieldElement:
         return FieldElement(self, self._from_int_payload(n))
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        return a.inverse()
-
-    def div(self, a, b):
-        return a / b
-
     # -- structure ----------------------------------------------------------
 
     @property
@@ -403,18 +387,23 @@ class Field:
         raise NotImplementedError
 
     # -- finite-field coding (overridden by finite kinds) --------------------
+    # These raise InfiniteFieldError, the one finiteness guard: every
+    # finite-only operation reaches one of them before doing any work.
+
+    def _needs_finite(self, what: str):
+        raise InfiniteFieldError(f"{what} needs a finite field, got {self.spec_string()}")
 
     def code_of(self, el: FieldElement) -> int:
-        raise InfiniteFieldError(f"{self.spec_string()} is not enumerable")
+        self._needs_finite("element codes")
 
     def element_of_code(self, code: int) -> FieldElement:
-        raise InfiniteFieldError(f"{self.spec_string()} is not enumerable")
+        self._needs_finite("element codes")
 
     def elements(self) -> list[FieldElement]:
-        raise InfiniteFieldError(f"{self.spec_string()} is not enumerable")
+        self._needs_finite("enumerating the elements")
 
     def tables(self) -> "FieldTables":
-        raise InfiniteFieldError(f"{self.spec_string()} has no lookup tables")
+        self._needs_finite("lookup tables")
 
 
 class FieldTables:
@@ -749,8 +738,8 @@ def field_make(spec: FieldDescriptor) -> Field:
             raise FieldError(f"{p} is not prime")
         if not isinstance(k, int) or k < 1:
             raise FieldError(f"extension degree must be >= 1, got {k}")
-        if k > 8:
-            raise FieldError(f"extension degrees are supported up to 8, got {k}")
+        if k > MAX_DEGREE:
+            raise FieldError(f"extension degrees are supported up to {MAX_DEGREE}, got {k}")
         if p**k > MAX_ORDER:
             raise FieldError(f"extension fields are supported up to order {MAX_ORDER}, got {p**k}")
         modulus = _poly_trim(list(modulus))
@@ -785,8 +774,14 @@ def field_from_spec(s: str) -> Field:
     if not m:
         raise FieldError(f"unrecognized field spec {s!r}")
     n = int(m.group(1))
+    k = int(m.group(2)) if m.group(2) is not None else 1
+    # bound the numbers before any arithmetic on them: primality is
+    # trial division and p**k can be astronomically large
+    if n > MAX_ORDER or k > MAX_DEGREE:
+        raise FieldError(f"finite fields are supported up to order {MAX_ORDER} "
+                         f"and extension degree {MAX_DEGREE}, got {s!r}")
     if m.group(2) is not None:
-        p, k = n, int(m.group(2))
+        p = n
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         if k == 1 and m.group(3) is None:
@@ -816,37 +811,18 @@ def field_from_spec(s: str) -> Field:
 
 def enumerate_elements(field: Field) -> list[FieldElement]:
     """All q elements in code order: 0, 1, then lexicographic payloads."""
-    if not field.is_finite:
-        raise InfiniteFieldError(f"cannot enumerate {field.spec_string()}")
     return field.elements()
 
 
-def _squarefree_part(n: int) -> int:
-    part = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e & 1:
-                part *= d
-        d += 1 if d == 2 else 2
-    return part * n
-
-
-def is_square(field: Field, t: FieldElement,
-              factor_bound: int = DEFAULT_FACTOR_BOUND) -> tuple[bool, FieldElement | None]:
-    """Decide t in (K)^2, with a witness s (s*s = t) whenever decidable.
+def is_square(field: Field, t: FieldElement) -> tuple[bool, FieldElement | None]:
+    """Decide t in (K)^2, with a witness s (s*s = t) when it is.
 
     Finite fields of odd characteristic use the (q-1)/2 power test and
     return the enumeration-first root; characteristic 2 is always a yes
     (squaring is bijective) with the root obtained by repeated squaring.
-    Over Q the decision reduces to squarefree parts of the numerator and
-    denominator (trial division); inputs whose reduced numerator or
-    denominator exceeds `factor_bound` raise UndecidedByConfiguration
-    instead of guessing.  Over F2(X) both parts must be squares.
+    Over Q a positive reduced fraction is a square iff its numerator
+    and denominator are perfect squares, decided exactly by integer
+    square roots for any size.  Over F2(X) both parts must be squares.
     """
     if t.field != field:
         raise FieldMismatchError("element does not belong to the given field")
@@ -873,11 +849,9 @@ def is_square(field: Field, t: FieldElement,
             return True, field.zero()
         if fr < 0:
             return False, None
-        if fr.numerator > factor_bound or fr.denominator > factor_bound:
-            raise UndecidedByConfiguration(
-                f"undecided-by-configuration: |{fr}| exceeds the factorization bound {factor_bound}")
-        if _squarefree_part(fr.numerator) == 1 and _squarefree_part(fr.denominator) == 1:
-            return True, field.element(Fraction(isqrt(fr.numerator), isqrt(fr.denominator)))
+        num, den = isqrt(fr.numerator), isqrt(fr.denominator)
+        if num * num == fr.numerator and den * den == fr.denominator:
+            return True, field.element(Fraction(num, den))
         return False, None
     if isinstance(field, RationalFunctionField2):
         num, den = t.payload

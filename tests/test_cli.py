@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from endoclass.cli import main
+from endoclass.fields import MAX_EXPONENT
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +171,68 @@ def test_bad_field_spec_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "fields", "--field", "F6")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("spec", [
+    "F1000000000000000003",   # a prime: trial division would take hours
+    "F100000000000000000000",  # 10^20: the prime-power search would too
+    "F2^300000000",           # p**k alone would be a 37 MB integer
+])
+def test_huge_field_spec_is_refused_before_arithmetic(capsys, spec):
+    code, out, err = run_cli(capsys, "fields", "--field", spec)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("endoclass: error:")
+
+
+def test_exponent_bound(capsys):
+    # w^3 = 1 in F4 and MAX_EXPONENT = 4096 = 3*1365 + 1, so w^4096 = w
+    _, expected, _ = run_cli(capsys, "table", "--field", "F4", "--algebra", "0,1,1,0,1,w")
+    code, out, _ = run_cli(capsys, "table", "--field", "F4", "--algebra",
+                           f"0,1,1,0,1,w^{MAX_EXPONENT}")
+    assert code == 0 and out == expected
+    code, out, err = run_cli(capsys, "table", "--field", "F4", "--algebra",
+                             f"0,1,1,0,1,w^{MAX_EXPONENT + 1}")
+    assert code == 2 and out == ""
+    assert "exponent" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fields", "--field", f"F2^2/x^{MAX_EXPONENT + 1}+1"],
+    ["equiv", "--field", "F2(X)", "--relation", "sim3", "--test", f"X^{MAX_EXPONENT + 1}", "X"],
+    ["equiv", "--field", "F2(X)", "--relation", "sim3", "--test", f"1/(X^{MAX_EXPONENT + 1})", "X"],
+])
+def test_exponent_bound_covers_moduli_and_f2x(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "exponent" in err
+
+
+def test_exponent_bound_f2x_just_below(capsys):
+    code, out, _ = run_cli(capsys, "equiv", "--field", "F2(X)", "--relation", "sim3",
+                           "--test", f"X^{MAX_EXPONENT}", "1", "--format", "text")
+    assert code == 0 and out.startswith("related")  # X^4096 is a square
+
+
+def test_equiv_rational_square_of_large_prime(capsys):
+    # 2^61 - 1 is prime: the decision is exact and immediate
+    code, out, _ = run_cli(capsys, "equiv", "--field", "Q", "--relation", "sim1",
+                           "--test", str(2**61 - 1), "1", "--format", "text")
+    assert code == 1
+    assert out == "not related\n"
+
+
+def test_broken_pipe_exits_141_without_traceback():
+    # the F16 partition is about 110 kB of JSON, more than a pipe holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "endoclass", "classes", "--field", "F16"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""  # in particular, no traceback
 
 
 def test_unknown_flag_rejected(capsys):

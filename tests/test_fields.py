@@ -1,11 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from endoclass import (FieldDescriptor, FieldError, FieldMismatchError,
-                       InfiniteFieldError, UndecidedByConfiguration,
-                       enumerate_elements, field_from_spec, field_make,
-                       is_square)
+                       InfiniteFieldError, enumerate_elements,
+                       field_from_spec, field_make, is_square)
 
 from common import el
 
@@ -138,13 +138,12 @@ def test_is_square_zero():
 
 
 def test_is_square_rational_bound():
+    # exact for any size: numerator and denominator must be perfect squares
     Q = field_from_spec("Q")
-    big = Q.from_int(2**64 + 1)
-    with pytest.raises(UndecidedByConfiguration):
-        is_square(Q, big)
-    # a custom bound admits it again (2^64+1 = 274177 * 67280421310721)
-    ok, _ = is_square(Q, big, factor_bound=2**65)
-    assert ok is False
+    assert is_square(Q, Q.from_int(2**64 + 1)) == (False, None)
+    assert is_square(Q, Q.from_int(2**61 - 1)) == (False, None)  # a Mersenne prime
+    ok, s = is_square(Q, Q.element(Fraction((2**61 - 1) ** 2, 3**40)))
+    assert ok and s == Q.element(Fraction(2**61 - 1, 3**20))
 
 
 def test_is_square_rational_functions():
