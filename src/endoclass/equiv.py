@@ -210,8 +210,31 @@ class RepSystem:
         return obj
 
 
+def _class_test(rel: RelationId, field: Field, elements):
+    """(image, key) with t ~ t' iff key(t, t') in image, over a finite field.
+
+    The image is built in one pass: the nonzero squares for sim1, sim3
+    and sim5, the values x^2 + x for sim2 and sim4.  Each key is the
+    quantity `related` tests, with t the representative.
+    """
+    if rel in (RelationId.SIM2, RelationId.SIM4):
+        image = {x * x + x for x in elements}
+        if rel is RelationId.SIM2:
+            return image, lambda r, t: r + t
+        return image, lambda r, t: r.inverse() + t.inverse()
+    image = {x * x for x in elements if x}
+    if rel is RelationId.SIM5:
+        four = field.from_int(4)
+        return image, lambda r, t: (t * (four + r)) / (r * (four + t))
+    return image, lambda r, t: r / t
+
+
 def rep_system(rel: RelationId, field: Field) -> RepSystem:
-    """Greedy partition of the carrier in enumeration order."""
+    """Greedy partition of the carrier in enumeration order.
+
+    Each element joins the first representative it is related to, or
+    becomes a representative itself; each test is one set lookup.
+    """
     _check_supported(rel, field)
     if isinstance(field, RationalFunctionField2):
         if rel is not RelationId.SIM3:
@@ -221,17 +244,17 @@ def rep_system(rel: RelationId, field: Field) -> RepSystem:
         gen_x = field.element((2, 1))
         return RepSystem(rel, field, (one, gen_x),
                          _rule=lambda t: gen_x if _f2x_sim3_is_x_class(t) else one)
-    todo = carrier_elements(rel, field)
+    image, key = _class_test(rel, field, field.elements())
     reps: list[FieldElement] = []
     assign: dict = {}
-    for el in todo:
-        if el in assign:
-            continue
-        reps.append(el)
-        assign[el] = el
-        for other in todo:
-            if other not in assign and related(rel, field, el, other)[0]:
-                assign[other] = el
+    for el in carrier_elements(rel, field):
+        for rep in reps:
+            if key(rep, el) in image:
+                assign[el] = rep
+                break
+        else:
+            reps.append(el)
+            assign[el] = el
     return RepSystem(rel, field, tuple(reps), _assign=assign)
 
 
@@ -239,14 +262,48 @@ def rep_system(rel: RelationId, field: Field) -> RepSystem:
 # bounded refutation search over F2(X)
 # ---------------------------------------------------------------------------
 
+# the largest degree bound N accepted by bounded_refutation_search: the
+# search tries 2^(N+1) denominators, so its cost doubles with each step
+# of N; negative answers at N = 14 took 0.05-0.8 s in measurement, the
+# most for targets of degree 4000
+MAX_DEGREE_BOUND = 14
+
+
+def _least_solution(den: int, rhs: int) -> Optional[int]:
+    """The least num with num^2 + den*num = rhs in GF(2)[X], or None.
+
+    The map is GF(2)-linear with kernel {0, den}.  With k = deg den, the
+    image of X^i has leading term X^(i+k) for i < k and X^(2i) for i > k,
+    all distinct, so back substitution from the top finds the one
+    solution without the X^k term: the lesser of the pair {num, num + den}.
+    Its degree is below k or at most deg(rhs) / 2.
+    """
+    k = gf2x.deg(den)
+    num = 0
+    while rhs:
+        top = gf2x.deg(rhs)
+        if k <= top < 2 * k:
+            i = top - k
+        elif top > 2 * k and top % 2 == 0:
+            i = top // 2
+        else:
+            return None
+        num |= 1 << i
+        rhs ^= (1 << (2 * i)) ^ (den << i)
+    return num
+
+
 def bounded_refutation_search(field: Field, rel: RelationId,
                               t: FieldElement, t2: FieldElement,
                               degree_bound: int):
-    """Search x = p/q with deg p, deg q <= degree_bound solving
+    """Search x = num/den with deg num, deg den <= degree_bound solving
     x^2 + x = t + t' (sim2) or = 1/t + 1/t' (sim4) over F2(X).
 
     Returns the witness element or None; a None answer is sound only up
     to the bound (the relation may still hold with larger witnesses).
+    The witness is the first hit with den ascending, then num ascending.
+    For one den, num^2 + den*num = target*den^2 is GF(2)-linear in num,
+    so its least solution comes from one back substitution.
     """
     if not isinstance(field, RationalFunctionField2):
         raise UnsupportedRelation("bounded refutation search is specific to F2(X)")
@@ -256,19 +313,24 @@ def bounded_refutation_search(field: Field, rel: RelationId,
         raise CarrierError(f"{rel.value} is a relation on nonzero elements")
     if degree_bound < 0:
         raise ValueError("degree bound must be nonnegative")
+    if degree_bound > MAX_DEGREE_BOUND:
+        raise ValueError(f"degree bound {degree_bound} exceeds the supported "
+                         f"maximum {MAX_DEGREE_BOUND}")
 
     if rel is RelationId.SIM2:
         target = t + t2
     else:
         target = t.inverse() + t2.inverse()
     tn, td = target.payload
-    limit = 1 << (degree_bound + 1)
-    mul = gf2x.mul
-    for den in range(1, limit):
-        den2 = mul(den, den)
-        rhs = mul(tn, den2)
-        for num in range(limit):
-            # (num^2 + num*den) / den^2 == tn / td, cross-multiplied
-            if mul(mul(num, num) ^ mul(num, den), td) == rhs:
-                return field.element(field._reduce(num, den))
+    for den in range(1, 1 << (degree_bound + 1)):
+        # num^2 + den*num has degree <= 2N: a larger quotient has no solution
+        # within the bound, and skipping it keeps huge targets cheap
+        if gf2x.deg(tn) + 2 * gf2x.deg(den) - gf2x.deg(td) > 2 * degree_bound:
+            continue
+        rhs, rem = gf2x.divmod_(gf2x.mul(tn, gf2x.mul(den, den)), td)
+        if rem:
+            continue
+        num = _least_solution(den, rhs)
+        if num is not None:
+            return field.element(field._reduce(num, den))
     return None

@@ -622,6 +622,9 @@ class RationalField(Field):
         return 1 / a
 
     def parse(self, s):
+        # Fraction would expand exponent notation: 1e99999999 is 10^99999999
+        if "e" in s or "E" in s:
+            raise FieldError(f"cannot parse {s!r} as a rational: exponent notation is not accepted")
         try:
             return self.element(Fraction(s.strip()))
         except (ValueError, ZeroDivisionError):

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from endoclass.cli import main
+from endoclass.equiv import MAX_DEGREE_BOUND
 from endoclass.fields import MAX_EXPONENT
 
 
@@ -220,6 +221,32 @@ def test_equiv_rational_square_of_large_prime(capsys):
                            "--test", str(2**61 - 1), "1", "--format", "text")
     assert code == 1
     assert out == "not related\n"
+
+
+def test_degree_bound_above_maximum_is_refused(capsys):
+    # refused before the search starts; never run a search this large
+    code, out, err = run_cli(capsys, "equiv", "--field", "F2(X)", "--relation", "sim2",
+                             "--test", "X", "1", "--degree-bound", str(MAX_DEGREE_BOUND + 1))
+    assert code == 2 and out == ""
+    assert "degree bound" in err
+
+
+@pytest.mark.parametrize("value", ["1e9999", "2E3", "1.5e-2"])
+def test_rational_exponent_notation_is_refused(capsys, value):
+    code, out, err = run_cli(capsys, "table", "--field", "Q", "--algebra",
+                             f"0,1,{value},0,-1,2")
+    assert code == 2 and out == ""
+    assert "exponent" in err
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("12", "12"), ("-3", "-3"), ("6/8", "3/4"), ("0.25", "1/4"), (" 7 ", "7"),
+])
+def test_rational_integers_fractions_and_decimals_parse(capsys, value, expected):
+    code, out, _ = run_cli(capsys, "equiv", "--field", "Q", "--relation", "sim1",
+                           "--test", value, value)
+    assert code == 0
+    assert json.loads(out)["t"] == expected
 
 
 def test_broken_pipe_exits_141_without_traceback():

@@ -1,14 +1,24 @@
-"""The straight-generator orbit scans against exhaustive GL2 search.
+"""Fast paths against the brute-force searches they replaced.
 
-The reference below is the exhaustive per-seed orbit scan over all of
-GL2 in lexicographic order: for each member it keeps the first X that
-hits it, i.e. the lexicographically least witness.
+* The straight-generator orbit scans against the exhaustive per-seed
+  orbit scan over all of GL2 in lexicographic order: for each member it
+  keeps the first X that hits it, i.e. the lexicographically least
+  witness.
+* The lookup-based representative systems against the pairwise greedy
+  partition that calls `related` for every unassigned element.
+* The linear-solve bounded F2(X) search against the double loop over
+  all numerators and denominators within the bound.
 """
+
+import random
 
 import pytest
 
-from endoclass import are_isomorphic, field_from_spec, transform
+from endoclass import (RelationId, are_isomorphic, field_from_spec, gf2x, related,
+                       transform)
 from endoclass.classify import enumerate_type_ii1, iso_classes
+from endoclass.equiv import (RepSystem, UnsupportedRelation, _check_supported,
+                             bounded_refutation_search, carrier_elements, rep_system)
 from endoclass.iso import apply_transform_codes, gl2_lifted
 
 from common import tr
@@ -83,3 +93,106 @@ def test_are_isomorphic_falls_back_on_non_sform_targets():
     assert w is not None and w.codes() == gl2_first_witness(mats[0], positive)
     assert are_isomorphic(mats[0], negative) is None
     assert gl2_first_witness(mats[0], negative) is None
+
+
+# ---------------------------------------------------------------------------
+# representative systems
+# ---------------------------------------------------------------------------
+
+FIELDS_UP_TO_64 = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16", "F17",
+                   "F19", "F23", "F25", "F27", "F29", "F31", "F32", "F37", "F41", "F43",
+                   "F47", "F49", "F53", "F59", "F61", "F64"]
+
+
+def pairwise_rep_system(rel, field):
+    """Each new representative claims every unassigned element it is
+    related to, one `related` call per element."""
+    _check_supported(rel, field)
+    todo = carrier_elements(rel, field)
+    reps, assign = [], {}
+    for el in todo:
+        if el in assign:
+            continue
+        reps.append(el)
+        assign[el] = el
+        for other in todo:
+            if other not in assign and related(rel, field, el, other)[0]:
+                assign[other] = el
+    return RepSystem(rel, field, tuple(reps), _assign=assign)
+
+
+@pytest.mark.parametrize("spec", FIELDS_UP_TO_64)
+def test_rep_system_matches_pairwise_partition(spec):
+    field = field_from_spec(spec)
+    checked = 0
+    for rel in RelationId:
+        try:
+            expected = pairwise_rep_system(rel, field).to_json()
+        except UnsupportedRelation:
+            with pytest.raises(UnsupportedRelation):
+                rep_system(rel, field)
+            continue
+        assert rep_system(rel, field).to_json() == expected
+        checked += 1
+    assert checked == (4 if field.characteristic() == 2 else 2)
+
+
+# ---------------------------------------------------------------------------
+# bounded refutation search over F2(X)
+# ---------------------------------------------------------------------------
+
+def double_loop_search(field, rel, t, t2, degree_bound):
+    """The first (den, num) in ascending order with num^2 + num*den =
+    target*den^2, both of degree <= degree_bound."""
+    target = t + t2 if rel is RelationId.SIM2 else t.inverse() + t2.inverse()
+    tn, td = target.payload
+    limit = 1 << (degree_bound + 1)
+    mul = gf2x.mul
+    for den in range(1, limit):
+        rhs = mul(tn, mul(den, den))
+        for num in range(limit):
+            if mul(mul(num, num) ^ mul(num, den), td) == rhs:
+                return field.element(field._reduce(num, den))
+    return None
+
+
+def _random_f2x(rng, field, max_deg):
+    den = rng.randrange(1, 1 << (max_deg + 1))
+    return field.from_polys(rng.randrange(1 << (max_deg + 1)), den)
+
+
+def bounded_search_cases(count, seed):
+    """(rel, t, t2, N) with every second case related by construction:
+    t' = t + x^2 + x (sim2) or 1/t' = 1/t + x^2 + x (sim4), deg x <= N."""
+    f2x = field_from_spec("F2(X)")
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        rel = rng.choice([RelationId.SIM2, RelationId.SIM4])
+        n = rng.randint(0, 4)
+        t = _random_f2x(rng, f2x, 3)
+        if not t:
+            continue
+        if len(cases) % 2 == 0:
+            x = _random_f2x(rng, f2x, n)
+            if rel is RelationId.SIM2:
+                t2 = t + x * x + x
+            else:
+                inv = t.inverse() + x * x + x
+                t2 = inv.inverse() if inv else f2x.zero()
+        else:
+            t2 = _random_f2x(rng, f2x, 3)
+        if t2:
+            cases.append((rel, t, t2, n))
+    return cases
+
+
+def test_bounded_search_matches_double_loop():
+    f2x = field_from_spec("F2(X)")
+    found = 0
+    for rel, t, t2, n in bounded_search_cases(600, seed=5):
+        expected = double_loop_search(f2x, rel, t, t2, n)
+        assert bounded_refutation_search(f2x, rel, t, t2, n) == expected, (rel, t, t2, n)
+        found += expected is not None
+    assert found >= 300  # every constructed case has a witness within the bound
+
