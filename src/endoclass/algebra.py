@@ -184,23 +184,20 @@ def square(A: StructureMatrix, x: AlgebraElement) -> AlgebraElement:
 # endo-commutativity
 # ---------------------------------------------------------------------------
 
+def _square(t: FieldTables, m: tuple[int, ...], u: int, v: int) -> tuple[int, int]:
+    """Coordinates of (u e + v f)^2."""
+    add, mul = t.add, t.mul
+    r1e, r1f, r2e, r2f, r3e, r3f, r4e, r4f = m
+    uu, vv, uv = mul[u][u], mul[v][v], mul[u][v]
+    return (add[add[mul[uu][r1e]][mul[vv][r2e]]][add[mul[uv][r3e]][mul[uv][r4e]]],
+            add[add[mul[uu][r1f]][mul[vv][r2f]]][add[mul[uv][r3f]][mul[uv][r4f]]])
+
+
 def _square_tables(t: FieldTables, m: tuple[int, ...]):
     """Coordinates of (u e + v f)^2 for every element code pair, flat u*q+v."""
-    q, add, mul = t.q, t.add, t.mul
-    r1e, r1f, r2e, r2f, r3e, r3f, r4e, r4f = m
-    sqe = [0] * (q * q)
-    sqf = [0] * (q * q)
-    for u in range(q):
-        mu = mul[u]
-        uu = mu[u]
-        e1, f1 = mul[uu][r1e], mul[uu][r1f]
-        base = u * q
-        for v in range(q):
-            uv = mu[v]
-            vv = mul[v][v]
-            sqe[base + v] = add[add[e1][mul[vv][r2e]]][add[mul[uv][r3e]][mul[uv][r4e]]]
-            sqf[base + v] = add[add[f1][mul[vv][r2f]]][add[mul[uv][r3f]][mul[uv][r4f]]]
-    return sqe, sqf
+    rng = range(t.q)
+    squares = [_square(t, m, u, v) for u in rng for v in rng]
+    return [s for s, _ in squares], [s2 for _, s2 in squares]
 
 
 def _ec_definitional_codes(t: FieldTables, m: tuple[int, ...]) -> bool:
@@ -290,11 +287,45 @@ def is_curled(A: StructureMatrix) -> bool:
     return True
 
 
+def straight_rewrite(t: FieldTables, m: tuple[int, ...], u: int, v: int):
+    """The algebra with structure codes m rewritten on the basis {x, x^2}
+    for x = u e + v f, as codes (x, y, z, w, params): the transform
+    X = ((x, y), (z, w)) carries m onto the S-form whose (p, q, a, b, c, d)
+    codes are params.  None when {x, x^2} is not a basis (x = 0 or x^2
+    in the span of x).
+    """
+    add, sub, mul, neg, inv = t.add, t.sub, t.mul, t.neg, t.inv
+    r1e, r1f, r2e, r2f, r3e, r3f, r4e, r4f = m
+    s, s2 = _square(t, m, u, v)
+    det = sub[mul[u][s2]][mul[v][s]]
+    if not det:
+        return None
+    di = inv[det]
+
+    def coords(ce, cf):
+        # old coordinates (ce, cf) in the basis {x, x^2}
+        return (mul[sub[mul[ce][s2]][mul[cf][s]]][di],
+                mul[sub[mul[u][cf]][mul[v][ce]]][di])
+
+    p_, q_ = coords(*_square(t, m, s, s2))  # x^2 * x^2
+    # x * x^2 and x^2 * x share their e*e and f*f terms
+    us, vs2, us2, vs = mul[u][s], mul[v][s2], mul[u][s2], mul[v][s]
+    se = add[mul[us][r1e]][mul[vs2][r2e]]
+    sf = add[mul[us][r1f]][mul[vs2][r2f]]
+    a_, b_ = coords(add[se][add[mul[us2][r3e]][mul[vs][r4e]]],  # x * x^2
+                    add[sf][add[mul[us2][r3f]][mul[vs][r4f]]])
+    c_, d_ = coords(add[se][add[mul[vs][r3e]][mul[us2][r4e]]],  # x^2 * x
+                    add[sf][add[mul[vs][r3f]][mul[us2][r4f]]])
+    # M = ((u, s), (v, s2)) has the new basis x, x^2 as columns;
+    # X = (M^-1)^T has the old basis in new coordinates as rows
+    return (mul[s2][di], mul[neg[v]][di], mul[neg[s]][di], mul[u][di],
+            (p_, q_, a_, b_, c_, d_))
+
+
 def straight_generators(t: FieldTables, m: tuple[int, ...]):
     """Every change of basis that carries the algebra with structure codes
-    m onto a straight normal form, as codes (x, y, z, w, params): the
-    transform X = ((x, y), (z, w)) rewrites m as the S-form whose
-    (p, q, a, b, c, d) codes are params.
+    m onto a straight normal form, as the `straight_rewrite` codes
+    (x, y, z, w, params).
 
     One candidate per nonzero element x = u e + v f (e-coefficient
     cycling fastest) with {x, x^2} independent, rewritten on the basis
@@ -302,37 +333,11 @@ def straight_generators(t: FieldTables, m: tuple[int, ...]):
     new e, so each such X in GL2 arises exactly once: at most q^2 - 1
     candidates instead of the (q^2-1)(q^2-q) elements of GL2.
     """
-    q, add, sub, mul, neg, inv = t.q, t.add, t.sub, t.mul, t.neg, t.inv
-    r1e, r1f, r2e, r2f, r3e, r3f, r4e, r4f = m
-    sqe, sqf = _square_tables(t, m)
-    for v in range(q):
-        for u in range(q):
-            i = u * q + v
-            s, s2 = sqe[i], sqf[i]
-            det = sub[mul[u][s2]][mul[v][s]]
-            if not det:  # x = 0 or x^2 in the span of x
-                continue
-            di = inv[det]
-
-            def coords(ce, cf):
-                # old coordinates (ce, cf) in the basis {x, x^2}
-                return (mul[sub[mul[ce][s2]][mul[cf][s]]][di],
-                        mul[sub[mul[u][cf]][mul[v][ce]]][di])
-
-            j = s * q + s2
-            p_, q_ = coords(sqe[j], sqf[j])  # x^2 * x^2
-            # x * x^2 and x^2 * x share their e*e and f*f terms
-            us, vs2, us2, vs = mul[u][s], mul[v][s2], mul[u][s2], mul[v][s]
-            se = add[mul[us][r1e]][mul[vs2][r2e]]
-            sf = add[mul[us][r1f]][mul[vs2][r2f]]
-            a_, b_ = coords(add[se][add[mul[us2][r3e]][mul[vs][r4e]]],  # x * x^2
-                            add[sf][add[mul[us2][r3f]][mul[vs][r4f]]])
-            c_, d_ = coords(add[se][add[mul[vs][r3e]][mul[us2][r4e]]],  # x^2 * x
-                            add[sf][add[mul[vs][r3f]][mul[us2][r4f]]])
-            # M = ((u, s), (v, s2)) has the new basis x, x^2 as columns;
-            # X = (M^-1)^T has the old basis in new coordinates as rows
-            yield (mul[s2][di], mul[neg[v]][di], mul[neg[s]][di], mul[u][di],
-                   (p_, q_, a_, b_, c_, d_))
+    for v in range(t.q):
+        for u in range(t.q):
+            rewritten = straight_rewrite(t, m, u, v)
+            if rewritten is not None:
+                yield rewritten
 
 
 def to_straight_form(A: StructureMatrix):

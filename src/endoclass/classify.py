@@ -4,10 +4,11 @@ The pipeline over a finite field K:
 
   1. scan all S(0, q, a, b, c, d) with a, c != 0 through the closed-form
      endo-commutativity system (q^5 tuples, integer-coded),
-  2. partition the survivors into isomorphism classes by orbit scans
-     over the q^2 - 1 straight generators of the enumeration-least
-     unassigned member (an isomorphism onto an S-form is fixed by where
-     it sends x), checking orbit-stabilizer counts on the way,
+  2. partition the survivors into isomorphism classes by the orbit of
+     the enumeration-least unassigned member (an isomorphism onto an
+     S-form is fixed by where it sends x; one x per projective point is
+     rewritten and its q - 1 multiples follow by scaling), checking
+     orbit-stabilizer counts on the way,
   3. build the predicted family catalog (two shapes for characteristic
      != 2, two for characteristic 2, each parametrized by complete
      representative systems of the relations in `equiv`),

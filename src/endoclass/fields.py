@@ -16,7 +16,10 @@ of n, so code 0 is zero, code 1 is one, and the rest follow in
 lexicographic payload order.  Hot loops (exhaustive scans, orbit
 searches) run on these integer codes through precomputed lookup
 tables; the `FieldElement` layer wraps the same payloads for the
-public API.
+public API.  The tables need no payload arithmetic per entry: addition
+works on the base-p digits of the codes, and multiplication and
+inversion go through the discrete logarithm to the code-first
+primitive element (`FieldTables`).
 
 Field spec strings: "F5", "F2^2/x^2+x+1", "Q", "F2(X)".  Prime-power
 shorthands like "F4", "F8", "F9" pick the first irreducible modulus in
@@ -407,21 +410,62 @@ class Field:
 
 
 class FieldTables:
-    """Dense lookup tables for one finite field, indexed by element code."""
+    """Dense lookup tables for one finite field, indexed by element code.
+
+    Codes are base-p digit strings of the payloads, so addition works
+    digit by digit on the codes (XOR in characteristic 2) and needs no
+    payload arithmetic.  Multiplication and inversion go through one
+    log/antilog pair: the powers of the code-first primitive element g
+    give exp[i] = g^i and log[exp[i]] = i, then a * b = exp[log a + log b]
+    and 1/a = exp[-log a].  Only the search for g multiplies payloads,
+    at most q - 1 times per candidate.
+    """
 
     __slots__ = ("q", "p", "add", "sub", "mul", "neg", "inv")
 
     def __init__(self, field: "FiniteFieldBase"):
-        q = field.order()
-        payloads = [field._payload_of_code(c) for c in range(q)]
-        enc = field._code_of_payload
-        self.q = q
-        self.p = field.characteristic()
-        self.add = [[enc(field._add(a, b)) for b in payloads] for a in payloads]
-        self.sub = [[enc(field._sub(a, b)) for b in payloads] for a in payloads]
-        self.mul = [[enc(field._mul(a, b)) for b in payloads] for a in payloads]
-        self.neg = [enc(field._neg(a)) for a in payloads]
-        self.inv = [None] + [enc(field._inv(a)) for a in payloads[1:]]
+        q = self.q = field.order()
+        p = self.p = field.characteristic()
+        rng = range(q)
+        if p == 2:
+            add = [[a ^ b for b in rng] for a in rng]
+        else:
+            # the low digit adds mod p, the higher digits by the row of a // p
+            low = [[(d + b) % p for b in rng] for d in range(p)]
+            high = [b // p for b in rng]
+            add = [list(rng)]
+            for a in range(1, q):
+                lo, up = low[a % p], add[a // p]
+                add.append([lo[b] + p * up[high[b]] for b in rng])
+        neg = [row.index(0) for row in add]
+        self.add, self.neg = add, neg
+        self.sub = [[row[nb] for nb in neg] for row in add]
+
+        exp = _powers_of_primitive(field)
+        log = [0] * q
+        for i, c in enumerate(exp):
+            log[c] = i
+        exp2 = exp + exp
+        logs = log[1:]
+        self.mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
+        self.inv = [None] + [exp[-la % (q - 1)] for la in logs]
+
+
+def _powers_of_primitive(field: "FiniteFieldBase") -> list[int]:
+    """Codes of g^0, ..., g^(q-2) for the code-first generator g of the
+    multiplicative group."""
+    q = field.order()
+    one = field._payload_of_code(1)
+    enc = field._code_of_payload
+    for g in range(1, q):
+        gp = field._payload_of_code(g)
+        powers, x = [1], gp
+        while x != one and len(powers) < q - 1:
+            powers.append(enc(x))
+            x = field._mul(x, gp)
+        if x == one and len(powers) == q - 1:
+            return powers
+    raise AssertionError(f"{field.spec_string()} has no primitive element")  # pragma: no cover
 
 
 class FiniteFieldBase(Field):

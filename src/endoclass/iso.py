@@ -17,17 +17,18 @@ transformation matrix for the isomorphism.
 The search returns the lexicographically least witness in (x, y, z, w)
 element-code order, so results are reproducible.  When the target is
 an S-form, every witness rewrites the source on a basis {x, x^2}, so
-the search runs over the at most q^2 - 1 straight generators x of the
-source (`sform_orbit`); any other target falls back to enumerating all
-(q^2-1)(q^2-q) invertible matrices in lexicographic order.  Both run on
-integer codes.
+the search covers only the at most q^2 - 1 straight generators x of
+the source (`sform_orbit`): it rewrites one x per projective point and
+derives the q - 1 multiples of each by scaling.  Any other target falls
+back to enumerating all (q^2-1)(q^2-q) invertible matrices in
+lexicographic order.  Both run on integer codes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import SParams, StructureMatrix, straight_generators
+from .algebra import SParams, StructureMatrix, straight_rewrite
 from .fields import Field, FieldElement, FieldMismatchError, FieldTables
 
 
@@ -271,20 +272,34 @@ def sform_orbit(t: FieldTables, m):
     (p, q, a, b, c, d) codes of each S-form in the orbit to the
     lexicographically least X codes carrying m onto it; `generators`
     counts the straight generators of m and `automorphisms` those that
-    carry m onto itself (0 unless m is an S-form).  The generators are
-    not visited in X order, hence the minimum.
+    carry m onto itself (0 unless m is an S-form).
+
+    Only one generator per projective point x in {(1, v)} u {(0, 1)} is
+    rewritten in full, onto S(p, q, a, b, c, d) by X.  Its multiple lam*x
+    rewrites m onto S(lam^3 p, lam^2 q, lam^2 a, lam b, lam^2 c, lam d)
+    by X diag(1/lam, 1/lam^2), so each of the q - 1 multiples costs ten
+    lookups.  The generators are not visited in X order, hence the minimum.
     """
+    n, mul, inv = t.q, t.mul, t.inv
     own = m[2:] if m[:2] == (0, 1) else None
+    points = [(1, v) for v in range(n)] + [(0, 1)]
+    bases = [r for r in (straight_rewrite(t, m, u, v) for u, v in points) if r is not None]
     least: dict[tuple, tuple[int, int, int, int]] = {}
-    generators = automorphisms = 0
-    for x, y, z, w, params in straight_generators(t, m):
-        generators += 1
-        automorphisms += params == own
-        X = (x, y, z, w)
-        best = least.get(params)
-        if best is None or X < best:
-            least[params] = X
-    return least, generators, automorphisms
+    automorphisms = 0
+    for lam in range(1, n):
+        m1 = mul[lam]
+        m2 = mul[m1[lam]]
+        m3 = mul[m2[lam]]
+        i1 = mul[inv[lam]]
+        i2 = mul[i1[inv[lam]]]
+        for x, y, z, w, (p, q, a, b, c, d) in bases:
+            params = (m3[p], m2[q], m2[a], m1[b], m2[c], m1[d])
+            automorphisms += params == own
+            X = (i1[x], i2[y], i1[z], i2[w])
+            best = least.get(params)
+            if best is None or X < best:
+                least[params] = X
+    return least, (n - 1) * len(bases), automorphisms
 
 
 def are_isomorphic(A: StructureMatrix, A2: StructureMatrix):

@@ -1,5 +1,9 @@
 """Fast paths against the brute-force searches they replaced.
 
+* The log/antilog field tables against tables built entry by entry
+  from payload arithmetic.
+* The projective-point orbit derivation against the loop that rewrites
+  every straight generator in full.
 * The straight-generator orbit scans against the exhaustive per-seed
   orbit scan over all of GL2 in lexicographic order: for each member it
   keeps the first X that hits it, i.e. the lexicographically least
@@ -14,16 +18,176 @@ import random
 
 import pytest
 
-from endoclass import (RelationId, are_isomorphic, field_from_spec, gf2x, related,
-                       transform)
+from endoclass import (RelationId, are_isomorphic, field_from_spec, gf2x, is_curled,
+                       related, theorem_families, transform)
+from endoclass.algebra import StructureMatrix, straight_generators
 from endoclass.classify import enumerate_type_ii1, iso_classes
 from endoclass.equiv import (RepSystem, UnsupportedRelation, _check_supported,
                              bounded_refutation_search, carrier_elements, rep_system)
-from endoclass.iso import apply_transform_codes, gl2_lifted
+from endoclass.fields import FieldTables
+from endoclass.iso import apply_transform_codes, gl2_lifted, sform_orbit
 
 from common import tr
 
 SMALL_FIELDS = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16", "F17"]
+FIELDS_UP_TO_64 = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16", "F17",
+                   "F19", "F23", "F25", "F27", "F29", "F31", "F32", "F37", "F41", "F43",
+                   "F47", "F49", "F53", "F59", "F61", "F64"]
+FIELDS_ABOVE_64 = ["F67", "F71", "F73", "F79", "F81", "F83", "F89", "F97", "F121", "F125",
+                   "F128", "F169", "F243", "F256"]
+TABLES = ("q", "p", "add", "sub", "mul", "neg", "inv")
+
+
+# ---------------------------------------------------------------------------
+# field tables
+# ---------------------------------------------------------------------------
+
+def payload_tables(field):
+    """Every entry from one payload-level operation and re-encoding."""
+    q = field.order()
+    payloads = [field._payload_of_code(c) for c in range(q)]
+    enc = field._code_of_payload
+    return {"q": q, "p": field.characteristic(),
+            "add": [[enc(field._add(a, b)) for b in payloads] for a in payloads],
+            "sub": [[enc(field._sub(a, b)) for b in payloads] for a in payloads],
+            "mul": [[enc(field._mul(a, b)) for b in payloads] for a in payloads],
+            "neg": [enc(field._neg(a)) for a in payloads],
+            "inv": [None] + [enc(field._inv(a)) for a in payloads[1:]]}
+
+
+@pytest.mark.parametrize("spec", FIELDS_UP_TO_64 + [
+    "F5^1/x+2",               # a degree-1 extension
+    "F2^4/x^4+x^3+x^2+x+1",   # w has order 5, not 15
+    "F3^2/x^2+2x+2"])
+def test_tables_match_payload_arithmetic(spec):
+    field = field_from_spec(spec)
+    t = FieldTables(field)
+    expected = payload_tables(field)
+    for name in TABLES:
+        assert getattr(t, name) == expected[name], name
+
+
+@pytest.mark.parametrize("spec", FIELDS_ABOVE_64)
+def test_tables_match_field_elements_above_64(spec):
+    field = field_from_spec(spec)
+    t = FieldTables(field)
+    q = field.order()
+    assert (t.q, t.p) == (q, field.characteristic())
+    dec, enc = field.element_of_code, field.code_of
+    rng = random.Random(spec)
+    for _ in range(2000):
+        a, b = rng.randrange(q), rng.randrange(q)
+        x, y = dec(a), dec(b)
+        assert t.add[a][b] == enc(x + y)
+        assert t.sub[a][b] == enc(x - y)
+        assert t.mul[a][b] == enc(x * y)
+        if b:
+            assert t.inv[b] == enc(y.inverse())
+    for a in range(1, q):
+        assert t.mul[a][t.inv[a]] == 1
+    assert t.inv[0] is None
+    for a in range(q):
+        assert t.add[a][t.neg[a]] == 0
+        assert t.neg[a] == enc(-dec(a))
+
+
+# ---------------------------------------------------------------------------
+# orbits through every straight generator
+# ---------------------------------------------------------------------------
+
+def square_tables(t, m):
+    """Coordinates of (u e + v f)^2 for every element code pair, flat u*q+v."""
+    q, add, mul = t.q, t.add, t.mul
+    r1e, r1f, r2e, r2f, r3e, r3f, r4e, r4f = m
+    sqe = [0] * (q * q)
+    sqf = [0] * (q * q)
+    for u in range(q):
+        mu = mul[u]
+        uu = mu[u]
+        e1, f1 = mul[uu][r1e], mul[uu][r1f]
+        base = u * q
+        for v in range(q):
+            uv = mu[v]
+            vv = mul[v][v]
+            sqe[base + v] = add[add[e1][mul[vv][r2e]]][add[mul[uv][r3e]][mul[uv][r4e]]]
+            sqf[base + v] = add[add[f1][mul[vv][r2f]]][add[mul[uv][r3f]][mul[uv][r4f]]]
+    return sqe, sqf
+
+
+def full_straight_generators(t, m):
+    """Every straight generator rewritten in full, through one table of
+    the squares of all q^2 elements."""
+    q, add, sub, mul, neg, inv = t.q, t.add, t.sub, t.mul, t.neg, t.inv
+    r1e, r1f, r2e, r2f, r3e, r3f, r4e, r4f = m
+    sqe, sqf = square_tables(t, m)
+    for v in range(q):
+        for u in range(q):
+            i = u * q + v
+            s, s2 = sqe[i], sqf[i]
+            det = sub[mul[u][s2]][mul[v][s]]
+            if not det:
+                continue
+            di = inv[det]
+
+            def coords(ce, cf):
+                return (mul[sub[mul[ce][s2]][mul[cf][s]]][di],
+                        mul[sub[mul[u][cf]][mul[v][ce]]][di])
+
+            j = s * q + s2
+            p_, q_ = coords(sqe[j], sqf[j])
+            us, vs2, us2, vs = mul[u][s], mul[v][s2], mul[u][s2], mul[v][s]
+            se = add[mul[us][r1e]][mul[vs2][r2e]]
+            sf = add[mul[us][r1f]][mul[vs2][r2f]]
+            a_, b_ = coords(add[se][add[mul[us2][r3e]][mul[vs][r4e]]],
+                            add[sf][add[mul[us2][r3f]][mul[vs][r4f]]])
+            c_, d_ = coords(add[se][add[mul[vs][r3e]][mul[us2][r4e]]],
+                            add[sf][add[mul[vs][r3f]][mul[us2][r4f]]])
+            yield (mul[s2][di], mul[neg[v]][di], mul[neg[s]][di], mul[u][di],
+                   (p_, q_, a_, b_, c_, d_))
+
+
+def full_sform_orbit(generators, own):
+    """(least, generators, automorphisms) from every generator in full."""
+    least = {}
+    automorphisms = 0
+    for x, y, z, w, params in generators:
+        automorphisms += params == own
+        X = (x, y, z, w)
+        if params not in least or X < least[params]:
+            least[params] = X
+    return least, len(generators), automorphisms
+
+
+def orbit_seeds(field, rng):
+    """Structure codes: every family member, random S-forms, random
+    structures that are not S-forms, curled ones and the zero algebra."""
+    q, sub = field.order(), field.tables().sub
+    seeds = [(0, 1) + sp.codes() for _, sp in theorem_families(field)]
+    seeds += [(0, 1) + tuple(rng.randrange(q) for _ in range(6)) for _ in range(5)]
+    seeds += [tuple(rng.randrange(q) for _ in range(8)) for _ in range(5)]
+    for _ in range(3):
+        # x^2 = (alpha u + beta v) x: e*e = alpha e, f*f = beta f, e*f + f*e = beta e + alpha f
+        alpha, beta, r, s = (rng.randrange(q) for _ in range(4))
+        seeds.append((alpha, 0, 0, beta, r, s, sub[beta][r], sub[alpha][s]))
+    seeds.append((0,) * 8)
+    return seeds
+
+
+@pytest.mark.parametrize("spec", [s for s in FIELDS_UP_TO_64 if field_from_spec(s).order() <= 32])
+def test_sform_orbit_matches_full_generator_scan(spec):
+    field = field_from_spec(spec)
+    t = field.tables()
+    curled = 0
+    for m in orbit_seeds(field, random.Random(spec)):
+        generators = list(full_straight_generators(t, m))
+        assert list(straight_generators(t, m)) == generators, m
+        own = m[2:] if m[:2] == (0, 1) else None
+        assert sform_orbit(t, m) == full_sform_orbit(generators, own), m
+        if not generators:
+            curled += 1
+            assert is_curled(StructureMatrix(field, [
+                [field.element_of_code(c) for c in m[i:i + 2]] for i in range(0, 8, 2)]))
+    assert curled >= 4
 
 
 def gl2_orbit_first_hits(t, gl2, src, key_to_index):
@@ -98,11 +262,6 @@ def test_are_isomorphic_falls_back_on_non_sform_targets():
 # ---------------------------------------------------------------------------
 # representative systems
 # ---------------------------------------------------------------------------
-
-FIELDS_UP_TO_64 = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16", "F17",
-                   "F19", "F23", "F25", "F27", "F29", "F31", "F32", "F37", "F41", "F43",
-                   "F47", "F49", "F53", "F59", "F61", "F64"]
-
 
 def pairwise_rep_system(rel, field):
     """Each new representative claims every unassigned element it is
