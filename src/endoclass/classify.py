@@ -3,7 +3,7 @@
 The pipeline over a finite field K:
 
   1. scan all S(0, q, a, b, c, d) with a, c != 0 through the closed-form
-     endo-commutativity system (q^5 tuples, integer-coded),
+     endo-commutativity system (q^3 (q-1)^2 tuples, integer-coded),
   2. partition the survivors into isomorphism classes by the orbit of
      the enumeration-least unassigned member (an isomorphism onto an
      S-form is fixed by where it sends x; one x per projective point is
@@ -14,6 +14,12 @@ The pipeline over a finite field K:
      representative systems of the relations in `equiv`),
   4. verify that catalog and partition match member for member.
 
+One scan serves every type bucket: a type fixes which of p, a and c
+are zero, so each bucket visits q^3 tuples times q - 1 per nonzero
+coordinate.  The scan refuses a field on which it would visit more
+than MAX_SCAN_TUPLES tuples, so the admitted fields follow from that
+one number (type II1 and `verify`: q <= 49; III: q <= 25; I: q <= 97).
+
 The subclass inventory cross-validates the closed-form parametrizations
 of the four (b, q, d)-strata against the direct scan.
 """
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
 from .algebra import (SParams, _TYPE_BY_PATTERN, _ec_straight_codes, _ii1_stratum,
                       is_endo_commutative_straight, type_of, AlgebraType)
@@ -29,33 +36,58 @@ from .equiv import RelationId, rep_system
 from .fields import Field, FieldElement
 from .iso import Transform, sform_orbit
 
-MAX_ENUM_ORDER = 256
-MAX_VERIFY_ORDER = 49
+# the type-II1 scan over F49, about 73 s at 270-290 ns per tuple
+MAX_SCAN_TUPLES = 49**3 * 48**2
 ENV_MAX_Q = "ENDOCLASS_MAX_Q"
+
+_TYPE_ALIASES = {
+    "I": (AlgebraType.I_001, AlgebraType.I_010, AlgebraType.I_100),
+    **{tp.value: (tp,) for tp in AlgebraType if tp is not AlgebraType.NOT_RANK_2},
+}
 
 
 class OversizedFieldError(ValueError):
-    """The field is larger than the configured guard for this operation."""
+    """The scan would visit more tuples than the size guard admits."""
 
 
-def _guarded_order(field: Field, guard: int, what: str) -> int:
-    """The order q of a finite field, refused when q exceeds the size
-    guard of the operation (ENDOCLASS_MAX_Q replaces the guard)."""
+def _scan(field: Field, types) -> list[tuple[int, ...]]:
+    """Codes of the endo-commutative S(p, q, a, b, c, d) whose type is in
+    `types`, in lexicographic order.
+
+    Each type's (p, a, c) pattern restricts those coordinates to the
+    zero code or to the nonzero codes.  Refused before any work when the
+    tuples to visit exceed MAX_SCAN_TUPLES, or, when ENDOCLASS_MAX_Q is
+    set, when q exceeds its value.
+    """
     q = field.order()
     if q is None:
         field.tables()  # raises InfiniteFieldError
-    limit = guard
+    patterns = [pat for pat, tp in _TYPE_BY_PATTERN.items() if tp in types]
+    visits = sum(q**3 * (q - 1) ** sum(pat) for pat in patterns)
     value = os.environ.get(ENV_MAX_Q)
     if value:
         try:
             limit = int(value)
         except ValueError:
             raise OversizedFieldError(f"{ENV_MAX_Q} must be an integer, got {value!r}") from None
-    if q > limit:
+        if q > limit:
+            raise OversizedFieldError(
+                f"scans are guarded to q <= {limit} by {ENV_MAX_Q} (got q = {q})")
+    elif visits > MAX_SCAN_TUPLES:
         raise OversizedFieldError(
-            f"{what} is guarded to q <= {limit} (got q = {q}); "
+            f"the type-{'/'.join(tp.value for tp in types)} scan over {field.spec_string()} "
+            f"would visit {visits:,} tuples, more than the guard of {MAX_SCAN_TUPLES:,}; "
             f"set {ENV_MAX_Q} to override")
-    return q
+    t = field.tables()
+    full = range(q)
+    out = []
+    for p_nz, a_nz, c_nz in patterns:
+        ps, as_, cs = (range(1, q) if nz else range(1) for nz in (p_nz, a_nz, c_nz))
+        for pc, qc, ac, bc, cc, dc in product(ps, full, as_, full, cs, full):
+            if _ec_straight_codes(t, pc, qc, ac, bc, cc, dc):
+                out.append((pc, qc, ac, bc, cc, dc))
+    out.sort()
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -65,19 +97,7 @@ def _guarded_order(field: Field, guard: int, what: str) -> int:
 def enumerate_type_ii1(field: Field) -> list[SParams]:
     """All endo-commutative S(0, q, a, b, c, d) with a, c != 0, in
     lexicographic (q, a, b, c, d) code order."""
-    qsize = _guarded_order(field, MAX_ENUM_ORDER, "the type-II1 scan")
-    t = field.tables()
-    out = []
-    rng = range(qsize)
-    nz = range(1, qsize)
-    for qc in rng:
-        for ac in nz:
-            for bc in rng:
-                for cc in nz:
-                    for dc in rng:
-                        if _ec_straight_codes(t, 0, qc, ac, bc, cc, dc):
-                            out.append(SParams.from_codes(field, (0, qc, ac, bc, cc, dc)))
-    return out
+    return [SParams.from_codes(field, codes) for codes in _scan(field, (AlgebraType.II_1,))]
 
 
 @dataclass
@@ -181,7 +201,6 @@ def iso_classes(algebras) -> list[IsoClass]:
     for sp in algebras:
         if sp.field != field:
             raise ValueError("all algebras must live over one field")
-    _guarded_order(field, MAX_ENUM_ORDER, "isomorphism classification")
     t = field.tables()
     positions: dict[tuple, list[int]] = {}
     for i, sp in enumerate(algebras):
@@ -256,7 +275,7 @@ def theorem_families(field: Field) -> list[tuple[FamilyLabel, SParams]]:
     S(0,t,t,0,t,0) over sim3; S(0,t,t,t,t,0) over sim4; and
     S(0, t^2/(1+t^2), t/(1+t^2), 1, t/(1+t^2), 1) for t in K* minus {1}.
     """
-    _guarded_order(field, MAX_ENUM_ORDER, "the predicted family catalog")
+    elements = field.elements()  # raises InfiniteFieldError on Q and F2(X)
     zero, one = field.zero(), field.one()
     out: list[tuple[FamilyLabel, SParams]] = []
     if field.characteristic() != 2:
@@ -270,7 +289,7 @@ def theorem_families(field: Field) -> list[tuple[FamilyLabel, SParams]]:
                                 SParams(zero, e * t, t, zero, dl * t, zero)))
         quarter = field.from_int(4).inverse()
         minus_one = -one
-        for t in field.elements():
+        for t in elements:
             if not t or t == one or t == minus_one:
                 continue
             tt = t * t
@@ -285,7 +304,7 @@ def theorem_families(field: Field) -> list[tuple[FamilyLabel, SParams]]:
             out.append((FamilyLabel("S2'", t=t), SParams(zero, t, t, zero, t, zero)))
         for t in rep_system(RelationId.SIM4, field).representatives:
             out.append((FamilyLabel("S3'", t=t), SParams(zero, t, t, t, t, zero)))
-        for t in field.elements():
+        for t in elements:
             if not t or t == one:
                 continue
             den_inv = (one + t * t).inverse()  # 1+t^2 = (1+t)^2 != 0 since t != 1
@@ -374,7 +393,7 @@ def verify_classification(field: Field) -> ClassificationReport:
     type-II1 S-forms is missing from the scan.  (b) is witnessed by the
     exhausted orbit scans underlying (d).
     """
-    _guarded_order(field, MAX_VERIFY_ORDER, "classification verification")
+    scan = enumerate_type_ii1(field)  # first: it refuses oversized fields
     failures: list[str] = []
     predicted = theorem_families(field)
 
@@ -384,7 +403,6 @@ def verify_classification(field: Field) -> ClassificationReport:
         elif type_of(sp) is not AlgebraType.II_1:
             failures.append(f"predicted {label} = {sp} is not of type II1")
 
-    scan = enumerate_type_ii1(field)
     classes = iso_classes(scan)
 
     for ci, cls in enumerate(classes):
@@ -436,53 +454,23 @@ def verify_classification(field: Field) -> ClassificationReport:
 # general type enumeration (CLI support)
 # ---------------------------------------------------------------------------
 
-_TYPE_ALIASES = {
-    "I": (AlgebraType.I_001, AlgebraType.I_010, AlgebraType.I_100),
-    "I.001": (AlgebraType.I_001,),
-    "I.010": (AlgebraType.I_010,),
-    "I.100": (AlgebraType.I_100,),
-    "II1": (AlgebraType.II_1,),
-    "II2": (AlgebraType.II_2,),
-    "II3": (AlgebraType.II_3,),
-    "III": (AlgebraType.III,),
-}
-
-
 def enumerate_type(field: Field, type_name: str, subclass: int | None = None) -> list[SParams]:
-    """Endo-commutative S-forms of one type bucket, in scan order.
+    """Endo-commutative S-forms of one type bucket, in lexicographic code
+    order.
 
-    The II1 path scans q^5 tuples (p = 0); any other bucket needs the
-    full q^6 scan and is guarded to q <= 9.  `subclass` filters II1 by
-    its (b, q, d) stratum.
+    Every bucket runs the same scan over its (p, a, c) pattern, guarded
+    by the tuples it visits (II1, II2 and II3: q <= 49; III: q <= 25;
+    I: q <= 97; I.001, I.010 and I.100: q <= 128).  `subclass` filters
+    II1 by its (b, q, d) stratum.
     """
     if type_name not in _TYPE_ALIASES:
         raise ValueError(f"unknown type {type_name!r}; expected one of {sorted(_TYPE_ALIASES)}")
     if subclass is not None and type_name != "II1":
         raise ValueError("--subclass only applies to type II1")
-    if type_name == "II1":
-        scan = enumerate_type_ii1(field)
-        if subclass is None:
-            return scan
-        if subclass not in (1, 2, 3, 4):
-            raise ValueError("subclass must be 1..4")
-        return [sp for sp in scan if _ii1_stratum(sp) == subclass]
-
-    qsize = _guarded_order(field, 9, f"the full type-{type_name} scan")
-    wanted = _TYPE_ALIASES[type_name]
-    t = field.tables()
-    out = []
-    rng = range(qsize)
-    for pc in rng:
-        for qc in rng:
-            for ac in rng:
-                for bc in rng:
-                    for cc in rng:
-                        for dc in rng:
-                            if not _ec_straight_codes(t, pc, qc, ac, bc, cc, dc):
-                                continue
-                            pattern = (pc != 0, ac != 0, cc != 0)
-                            sp = SParams.from_codes(field, (pc, qc, ac, bc, cc, dc))
-                            if _TYPE_BY_PATTERN[pattern] in wanted:
-                                out.append(sp)
-    return out
-
+    if subclass not in (None, 1, 2, 3, 4):
+        raise ValueError("subclass must be 1..4")
+    if type_name != "II1":
+        return [SParams.from_codes(field, codes)
+                for codes in _scan(field, _TYPE_ALIASES[type_name])]
+    scan = enumerate_type_ii1(field)
+    return scan if subclass is None else [sp for sp in scan if _ii1_stratum(sp) == subclass]

@@ -28,7 +28,7 @@ import sys
 from . import __version__
 from .algebra import (NotEndoCommutative, SParams, is_endo_commutative_straight,
                       multiplication_table_text, rank, type_of)
-from .classify import (enumerate_type, iso_classes, verify_classification)
+from .classify import (_TYPE_ALIASES, enumerate_type, iso_classes, verify_classification)
 from .equiv import (RelationId, bounded_refutation_search, related, rep_system)
 from .fields import Field, FieldError, field_from_spec
 from .iso import are_isomorphic
@@ -218,8 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("enumerate", cmd_enumerate, "list endo-commutative S-forms of one type",
             fmt_default="tsv")
-    p.add_argument("--type", default="II1",
-                   choices=("I", "I.001", "I.010", "I.100", "II1", "II2", "II3", "III"))
+    p.add_argument("--type", default="II1", choices=tuple(_TYPE_ALIASES))
     p.add_argument("--subclass", type=int, choices=(1, 2, 3, 4))
 
     p = add("iso", cmd_iso, "decide isomorphism of two S-forms")

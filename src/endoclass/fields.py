@@ -567,7 +567,7 @@ class ExtensionField(FiniteFieldBase):
 
     def generator(self) -> FieldElement:
         """The class of w, i.e. the adjoined root of the modulus."""
-        return self.element(self._pad((0, 1)))
+        return self.parse("w")
 
     def _pad(self, coeffs) -> tuple[int, ...]:
         return tuple(coeffs) + (0,) * (self.k - len(coeffs))

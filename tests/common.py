@@ -1,5 +1,6 @@
-"""Shared test helpers: element shortcuts and the catalog of closed-form
-isomorphism witnesses between parametrized S-form families."""
+"""Shared test helpers: element shortcuts, a scan that must not start,
+and the catalog of closed-form isomorphism witnesses between
+parametrized S-form families."""
 
 from endoclass import (RelationId, SParams, Transform, field_from_spec,
                        is_square, related)
@@ -28,6 +29,22 @@ def tr(field, *vals):
 
 def units(field):
     return [e for e in field.elements() if e]
+
+
+class ScanStarted(Exception):
+    """Raised at the first tuple a scan visits under `forbid_scan`."""
+
+
+def forbid_scan(monkeypatch):
+    """Make every scan raise ScanStarted at its first tuple: an admitted
+    field shows at once, and a missed size guard fails instead of
+    scanning for hours."""
+    import endoclass.classify as classify
+
+    def started(*codes):
+        raise ScanStarted
+    monkeypatch.delenv("ENDOCLASS_MAX_Q", raising=False)
+    monkeypatch.setattr(classify, "_ec_straight_codes", started)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 import pytest
 
-from endoclass import (AlgebraType, OversizedFieldError, check_iso_system,
+from endoclass import (AlgebraType, InfiniteFieldError, OversizedFieldError, check_iso_system,
                        enumerate_subclasses, enumerate_type, enumerate_type_ii1,
                        field_from_spec, ii1_subclass, is_endo_commutative_straight,
                        iso_classes, theorem_families, transform, type_of,
                        verify_classification)
 
-from common import CHAR2_CATALOG, sp
+from common import CHAR2_CATALOG, ScanStarted, forbid_scan, sp
 
 F2 = field_from_spec("F2")
 F3 = field_from_spec("F3")
@@ -278,4 +278,41 @@ def test_enumerate_type_validation():
     with pytest.raises(ValueError):
         enumerate_type(F3, "III", subclass=1)
     with pytest.raises(OversizedFieldError):
-        enumerate_type(field_from_spec("F16"), "III")
+        enumerate_type(field_from_spec("F27"), "III")  # the smallest III field beyond the bound
+
+
+@pytest.mark.parametrize("type_name, admitted, refused", [
+    # each bucket's largest admitted and smallest refused field
+    ("II1", "F49", "F53"), ("II2", "F49", "F53"), ("II3", "F49", "F53"),
+    ("III", "F25", "F27"), ("I", "F97", "F121"),
+    ("I.001", "F128", "F169"), ("I.010", "F128", "F169"), ("I.100", "F128", "F169"),
+])
+def test_scan_guard_follows_the_tuple_bound(monkeypatch, type_name, admitted, refused):
+    forbid_scan(monkeypatch)
+    with pytest.raises(ScanStarted):
+        enumerate_type(field_from_spec(admitted), type_name)
+    with pytest.raises(OversizedFieldError, match="tuples"):
+        enumerate_type(field_from_spec(refused), type_name)
+
+
+def test_scan_guard_covers_the_ii1_scan_and_verify(monkeypatch):
+    forbid_scan(monkeypatch)
+    F53 = field_from_spec("F53")
+    with pytest.raises(OversizedFieldError):
+        enumerate_type_ii1(F53)
+    with pytest.raises(OversizedFieldError):
+        verify_classification(F53)
+    with pytest.raises(ScanStarted):
+        verify_classification(field_from_spec("F49"))
+    with pytest.raises(ValueError, match="subclass"):
+        enumerate_type(field_from_spec("F17"), "II1", subclass=5)  # refused before the scan
+
+
+@pytest.mark.parametrize("spec", ["Q", "F2(X)"])
+def test_scan_partition_and_catalog_need_a_finite_field(spec):
+    field = field_from_spec(spec)
+    for call in (enumerate_type_ii1, theorem_families, verify_classification,
+                 lambda f: enumerate_type(f, "III"),
+                 lambda f: iso_classes([sp(f, 0, 1, 1, 0, -1, 0)])):
+        with pytest.raises(InfiniteFieldError):
+            call(field)

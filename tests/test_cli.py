@@ -1,12 +1,15 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
 from endoclass.cli import main
 from endoclass.equiv import MAX_DEGREE_BOUND
 from endoclass.fields import MAX_EXPONENT
+
+from common import forbid_scan
 
 
 def run_cli(capsys, *argv):
@@ -229,6 +232,23 @@ def test_degree_bound_above_maximum_is_refused(capsys):
                              "--test", "X", "1", "--degree-bound", str(MAX_DEGREE_BOUND + 1))
     assert code == 2 and out == ""
     assert "degree bound" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--field", "F256"],
+    ["enumerate", "--field", "F27", "--type", "III"],
+    ["classes", "--field", "F64"],
+    ["verify", "--field", "F53"],
+])
+def test_oversized_scan_is_refused_at_once(capsys, monkeypatch, argv):
+    # F256 would be a scan of about 10^12 tuples
+    forbid_scan(monkeypatch)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("endoclass: error: ")
+    assert "tuples" in err
 
 
 @pytest.mark.parametrize("value", ["1e9999", "2E3", "1.5e-2"])

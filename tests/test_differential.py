@@ -1,5 +1,7 @@
 """Fast paths against the brute-force searches they replaced.
 
+* The one type-pattern scan against the q^5 type-II1 loop nest and the
+  q^6 loop nest over every tuple that it replaced, list and order.
 * The log/antilog field tables against tables built entry by entry
   from payload arithmetic.
 * The projective-point orbit derivation against the loop that rewrites
@@ -14,14 +16,16 @@
   all numerators and denominators within the bound.
 """
 
+import functools
 import random
 
 import pytest
 
 from endoclass import (RelationId, are_isomorphic, field_from_spec, gf2x, is_curled,
                        related, theorem_families, transform)
-from endoclass.algebra import StructureMatrix, straight_generators
-from endoclass.classify import enumerate_type_ii1, iso_classes
+from endoclass.algebra import (_TYPE_BY_PATTERN, StructureMatrix, _ec_straight_codes,
+                               straight_generators)
+from endoclass.classify import _TYPE_ALIASES, enumerate_type, enumerate_type_ii1, iso_classes
 from endoclass.equiv import (RepSystem, UnsupportedRelation, _check_supported,
                              bounded_refutation_search, carrier_elements, rep_system)
 from endoclass.fields import FieldTables
@@ -36,6 +40,73 @@ FIELDS_UP_TO_64 = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16"
 FIELDS_ABOVE_64 = ["F67", "F71", "F73", "F79", "F81", "F83", "F89", "F97", "F121", "F125",
                    "F128", "F169", "F243", "F256"]
 TABLES = ("q", "p", "add", "sub", "mul", "neg", "inv")
+
+
+# ---------------------------------------------------------------------------
+# type scans
+# ---------------------------------------------------------------------------
+
+def loop_nest_ii1(field):
+    """Every S(0, q, a, b, c, d) with a, c != 0, by five nested loops."""
+    q = field.order()
+    t = field.tables()
+    out = []
+    rng = range(q)
+    nz = range(1, q)
+    for qc in rng:
+        for ac in nz:
+            for bc in rng:
+                for cc in nz:
+                    for dc in rng:
+                        if _ec_straight_codes(t, 0, qc, ac, bc, cc, dc):
+                            out.append((0, qc, ac, bc, cc, dc))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def loop_nest_all(spec):
+    """Every endo-commutative S-form with its type, by six nested loops
+    over all q^6 tuples (once per field; the buckets filter it)."""
+    field = field_from_spec(spec)
+    q = field.order()
+    t = field.tables()
+    out = []
+    rng = range(q)
+    for pc in rng:
+        for qc in rng:
+            for ac in rng:
+                for bc in rng:
+                    for cc in rng:
+                        for dc in rng:
+                            if _ec_straight_codes(t, pc, qc, ac, bc, cc, dc):
+                                out.append(((pc, qc, ac, bc, cc, dc),
+                                            _TYPE_BY_PATTERN[(pc != 0, ac != 0, cc != 0)]))
+    return out
+
+
+def loop_nest_bucket(spec, type_name):
+    return [codes for codes, tp in loop_nest_all(spec) if tp in _TYPE_ALIASES[type_name]]
+
+
+@pytest.mark.parametrize("type_name", list(_TYPE_ALIASES))
+@pytest.mark.parametrize("spec", [s for s in SMALL_FIELDS if field_from_spec(s).order() <= 9]
+                         + ["F5^1/x+2"])
+def test_scan_matches_loop_nest_per_bucket(spec, type_name):
+    got = [sp.codes() for sp in enumerate_type(field_from_spec(spec), type_name)]
+    assert got == loop_nest_bucket(spec, type_name)
+
+
+def test_scan_admits_and_matches_iii_over_f11():
+    # beyond the old q <= 9 limit of the non-II1 buckets
+    got = [sp.codes() for sp in enumerate_type(field_from_spec("F11"), "III")]
+    assert got == loop_nest_bucket("F11", "III")
+    assert got
+
+
+@pytest.mark.parametrize("spec", SMALL_FIELDS)
+def test_ii1_scan_matches_loop_nest(spec):
+    field = field_from_spec(spec)
+    assert [sp.codes() for sp in enumerate_type_ii1(field)] == loop_nest_ii1(field)
 
 
 # ---------------------------------------------------------------------------

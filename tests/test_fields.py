@@ -29,6 +29,16 @@ def test_extension_field_modulus_reduction():
     assert (w + f4.one()) * (w + f4.one()) == w
 
 
+@pytest.mark.parametrize("spec", ["F5^1/x+2", "F4"])
+def test_generator_is_the_reduced_root_of_the_modulus(spec):
+    # on a degree-1 extension w is a constant: F5^1/x+2 reads w as 3
+    f = field_from_spec(spec)
+    w = f.generator()
+    assert w == f.parse("w")
+    assert 0 <= f.code_of(w) < f.order()
+    assert sum((f.from_int(c) * w**i for i, c in enumerate(f.modulus)), f.zero()) == f.zero()
+
+
 def test_rationals():
     Q = field_from_spec("Q")
     assert Q.parse("2/3") * Q.parse("9/4") == Q.parse("3/2")
