@@ -274,19 +274,6 @@ def _ec_straight_codes(t: FieldTables, pc, qc, ac, bc, cc, dc) -> bool:
 # curled / straight
 # ---------------------------------------------------------------------------
 
-def is_curled(A: StructureMatrix) -> bool:
-    """True iff x^2 lies in the span of x for every element x."""
-    t = A.field.tables()
-    q, sub, mul = t.q, t.sub, t.mul
-    sqe, sqf = _square_tables(t, A.codes())
-    for u in range(q):
-        for v in range(q):
-            i = u * q + v
-            if sub[mul[u][sqf[i]]][mul[v][sqe[i]]]:
-                return False
-    return True
-
-
 def straight_rewrite(t: FieldTables, m: tuple[int, ...], u: int, v: int):
     """The algebra with structure codes m rewritten on the basis {x, x^2}
     for x = u e + v f, as codes (x, y, z, w, params): the transform
@@ -338,6 +325,12 @@ def straight_generators(t: FieldTables, m: tuple[int, ...]):
             rewritten = straight_rewrite(t, m, u, v)
             if rewritten is not None:
                 yield rewritten
+
+
+def is_curled(A: StructureMatrix) -> bool:
+    """True iff x^2 lies in the span of x for every element x, that is,
+    iff no x gives a straight basis {x, x^2}."""
+    return next(straight_generators(A.field.tables(), A.codes()), None) is None
 
 
 def to_straight_form(A: StructureMatrix):

@@ -16,9 +16,10 @@ The pipeline over a finite field K:
 
 One scan serves every type bucket: a type fixes which of p, a and c
 are zero, so each bucket visits q^3 tuples times q - 1 per nonzero
-coordinate.  The scan refuses a field on which it would visit more
-than MAX_SCAN_TUPLES tuples, so the admitted fields follow from that
-one number (type II1 and `verify`: q <= 49; III: q <= 25; I: q <= 97).
+coordinate, and none for I.001 and I.010, which equation E3 rules out.
+The scan refuses a field on which it would visit more than
+MAX_SCAN_TUPLES tuples, so the admitted fields follow from that one
+number (type II1 and `verify`: q <= 49; III: q <= 25; I: q <= 128).
 
 The subclass inventory cross-validates the closed-form parametrizations
 of the four (b, q, d)-strata against the direct scan.
@@ -26,7 +27,6 @@ of the four (b, q, d)-strata against the direct scan.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field as dc_field
 from itertools import product
 
@@ -38,7 +38,6 @@ from .iso import Transform, sform_orbit
 
 # the type-II1 scan over F49, about 73 s at 270-290 ns per tuple
 MAX_SCAN_TUPLES = 49**3 * 48**2
-ENV_MAX_Q = "ENDOCLASS_MAX_Q"
 
 _TYPE_ALIASES = {
     "I": (AlgebraType.I_001, AlgebraType.I_010, AlgebraType.I_100),
@@ -56,28 +55,20 @@ def _scan(field: Field, types) -> list[tuple[int, ...]]:
 
     Each type's (p, a, c) pattern restricts those coordinates to the
     zero code or to the nonzero codes.  Refused before any work when the
-    tuples to visit exceed MAX_SCAN_TUPLES, or, when ENDOCLASS_MAX_Q is
-    set, when q exceeds its value.
+    tuples to visit exceed MAX_SCAN_TUPLES.
     """
     q = field.order()
     if q is None:
         field.tables()  # raises InfiniteFieldError
-    patterns = [pat for pat, tp in _TYPE_BY_PATTERN.items() if tp in types]
+    # with p = 0, E3 (p(d - b) = a^2 - c^2) reads a^2 = c^2: a and c vanish
+    # together, so the patterns of I.001 and I.010 hold no algebra
+    patterns = [pat for pat, tp in _TYPE_BY_PATTERN.items()
+                if tp in types and (pat[0] or pat[1] == pat[2])]
     visits = sum(q**3 * (q - 1) ** sum(pat) for pat in patterns)
-    value = os.environ.get(ENV_MAX_Q)
-    if value:
-        try:
-            limit = int(value)
-        except ValueError:
-            raise OversizedFieldError(f"{ENV_MAX_Q} must be an integer, got {value!r}") from None
-        if q > limit:
-            raise OversizedFieldError(
-                f"scans are guarded to q <= {limit} by {ENV_MAX_Q} (got q = {q})")
-    elif visits > MAX_SCAN_TUPLES:
+    if visits > MAX_SCAN_TUPLES:
         raise OversizedFieldError(
             f"the type-{'/'.join(tp.value for tp in types)} scan over {field.spec_string()} "
-            f"would visit {visits:,} tuples, more than the guard of {MAX_SCAN_TUPLES:,}; "
-            f"set {ENV_MAX_Q} to override")
+            f"would visit {visits:,} tuples, more than the guard of {MAX_SCAN_TUPLES:,}")
     t = field.tables()
     full = range(q)
     out = []
@@ -460,8 +451,8 @@ def enumerate_type(field: Field, type_name: str, subclass: int | None = None) ->
 
     Every bucket runs the same scan over its (p, a, c) pattern, guarded
     by the tuples it visits (II1, II2 and II3: q <= 49; III: q <= 25;
-    I: q <= 97; I.001, I.010 and I.100: q <= 128).  `subclass` filters
-    II1 by its (b, q, d) stratum.
+    I and I.100: q <= 128; I.001 and I.010 are empty by E3 and visit
+    none).  `subclass` filters II1 by its (b, q, d) stratum.
     """
     if type_name not in _TYPE_ALIASES:
         raise ValueError(f"unknown type {type_name!r}; expected one of {sorted(_TYPE_ALIASES)}")

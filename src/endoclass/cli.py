@@ -112,6 +112,8 @@ def cmd_iso(args) -> int:
 
 
 def cmd_equiv(args) -> int:
+    if args.degree_bound is not None and args.test is None:
+        raise FieldError("--degree-bound only applies to --test T T2")
     field = field_from_spec(args.field)
     rel = RelationId(args.relation)
     if args.reps:
@@ -228,17 +230,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("equiv", cmd_equiv, "relations on K*: decide, or list representatives")
     p.add_argument("--relation", required=True,
                    choices=[r.value for r in RelationId])
-    p.add_argument("--reps", action="store_true", help="print the representative system")
-    p.add_argument("--test", nargs=2, metavar=("T", "T2"), help="decide T ~ T2")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--reps", action="store_true", help="print the representative system")
+    mode.add_argument("--test", nargs=2, metavar=("T", "T2"), help="decide T ~ T2")
     p.add_argument("--degree-bound", type=int,
                    help="bounded refutation search over F2(X) for sim2/sim4")
 
-    jobs_help = "accepted for compatibility; has no effect (the partition runs in one process)"
-    p = add("classes", cmd_classes, "isomorphism partition of the type-II1 scan")
-    p.add_argument("--jobs", type=int, default=1, help=jobs_help)
-
-    p = add("verify", cmd_verify, "verify the predicted families against the partition")
-    p.add_argument("--jobs", type=int, default=1, help=jobs_help)
+    add("classes", cmd_classes, "isomorphism partition of the type-II1 scan")
+    add("verify", cmd_verify, "verify the predicted families against the partition")
 
     p = add("table", cmd_table, "render the 2x2 multiplication table", fmt_default="text")
     p.add_argument("--algebra", required=True,
@@ -250,8 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", 1) < 1:
-        parser.error("--jobs must be >= 1")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -43,7 +43,6 @@ def forbid_scan(monkeypatch):
 
     def started(*codes):
         raise ScanStarted
-    monkeypatch.delenv("ENDOCLASS_MAX_Q", raising=False)
     monkeypatch.setattr(classify, "_ec_straight_codes", started)
 
 

@@ -157,6 +157,42 @@ def test_split_idempotents_curledness_depends_on_field():
     assert not is_curled(StructureMatrix.from_ints(F3, rows))
 
 
+def _curled_by_definition(A):
+    """u (x^2)_f - v (x^2)_e = 0 for every x = u e + v f, through `multiply`."""
+    for u in A.field.elements():
+        for v in A.field.elements():
+            x = element(A.field, u, v)
+            x2 = multiply(A, x, x)
+            if u * x2.v - v * x2.u:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("spec", ["F2", "F3", "F4", "F5", "F7"])
+def test_is_curled_matches_the_definition(spec):
+    field = field_from_spec(spec)
+    q = field.order()
+    rng = random.Random(q)
+
+    def rand():
+        return field.element_of_code(rng.randrange(q))
+
+    def curled():
+        # x^2 = phi(x) x for the linear form phi(e) = al, phi(f) = be
+        al, be, r, s = rand(), rand(), rand(), rand()
+        z = field.zero()
+        return StructureMatrix(field, ((al, z), (z, be), (r, s), (be - r, al - s)))
+
+    matrices = [StructureMatrix.zero(field)]
+    matrices += [curled() for _ in range(20)]
+    matrices += [StructureMatrix(field, [[rand(), rand()] for _ in range(4)])
+                 for _ in range(40)]
+    verdicts = [is_curled(A) for A in matrices]
+    assert verdicts == [_curled_by_definition(A) for A in matrices]
+    assert verdicts[0] and all(verdicts[1:21])
+    assert not all(verdicts[21:])
+
+
 def test_to_straight_form_identity_on_sforms():
     S = sp(F5, 0, 1, 1, 0, -1, 2)
     params, X = to_straight_form(S.to_structure_matrix())

@@ -252,11 +252,12 @@ def test_family_tables_render_as_published_shapes():
 # ---------------------------------------------------------------------------
 
 def test_oversized_guard(monkeypatch):
+    # the tuple bound alone decides, whatever ENDOCLASS_MAX_Q holds
     monkeypatch.setenv("ENDOCLASS_MAX_Q", "3")
-    with pytest.raises(OversizedFieldError):
-        verify_classification(F5)
-    monkeypatch.setenv("ENDOCLASS_MAX_Q", "5")
     assert verify_classification(F5).verdict
+    forbid_scan(monkeypatch)
+    with pytest.raises(OversizedFieldError):
+        verify_classification(field_from_spec("F53"))
 
 
 def test_enumerate_type_ii1_subclass_filter():
@@ -282,10 +283,10 @@ def test_enumerate_type_validation():
 
 
 @pytest.mark.parametrize("type_name, admitted, refused", [
-    # each bucket's largest admitted and smallest refused field
+    # each bucket's largest admitted and smallest refused field; I counts
+    # only the tuples of I.100
     ("II1", "F49", "F53"), ("II2", "F49", "F53"), ("II3", "F49", "F53"),
-    ("III", "F25", "F27"), ("I", "F97", "F121"),
-    ("I.001", "F128", "F169"), ("I.010", "F128", "F169"), ("I.100", "F128", "F169"),
+    ("III", "F25", "F27"), ("I", "F128", "F169"), ("I.100", "F128", "F169"),
 ])
 def test_scan_guard_follows_the_tuple_bound(monkeypatch, type_name, admitted, refused):
     forbid_scan(monkeypatch)
@@ -293,6 +294,14 @@ def test_scan_guard_follows_the_tuple_bound(monkeypatch, type_name, admitted, re
         enumerate_type(field_from_spec(admitted), type_name)
     with pytest.raises(OversizedFieldError, match="tuples"):
         enumerate_type(field_from_spec(refused), type_name)
+
+
+@pytest.mark.parametrize("type_name", ["I.001", "I.010"])
+def test_e3_empty_buckets_visit_no_tuple(monkeypatch, type_name):
+    # with p = 0, E3 reads a^2 = c^2: these buckets are admitted on the
+    # largest supported field and hold nothing
+    forbid_scan(monkeypatch)
+    assert enumerate_type(field_from_spec("F256"), type_name) == []
 
 
 def test_scan_guard_covers_the_ii1_scan_and_verify(monkeypatch):
