@@ -21,6 +21,7 @@ errors, 141 when the reader of stdout goes away (a closed pipe).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -29,8 +30,9 @@ from . import __version__
 from .algebra import (NotEndoCommutative, SParams, is_endo_commutative_straight,
                       multiplication_table_text, rank, type_of)
 from .classify import (_TYPE_ALIASES, enumerate_type, iso_classes, verify_classification)
-from .equiv import (RelationId, bounded_refutation_search, related, rep_system)
-from .fields import Field, FieldError, field_from_spec
+from .equiv import (MAX_DEGREE_BOUND, RelationId, UnsupportedRelation,
+                    bounded_refutation_search, related, rep_system)
+from .fields import Field, FieldError, RationalFunctionField2, field_from_spec
 from .iso import are_isomorphic
 
 
@@ -139,6 +141,11 @@ def cmd_equiv(args) -> int:
             print(f"witness found ({witness})" if witness is not None
                   else f"no witness up to bound {args.degree_bound}")
         return 0 if witness is not None else 1
+    if isinstance(field, RationalFunctionField2) and rel in (RelationId.SIM2, RelationId.SIM4):
+        # `related` names the library's search; point at the option instead
+        raise UnsupportedRelation(
+            f"{rel.value} over F2(X) is undecidable here; add --degree-bound N "
+            f"(N at most {MAX_DEGREE_BOUND}) for a bounded refutation search")
     ok, witness = related(rel, field, t, t2)
     if args.format == "json":
         if isinstance(witness, tuple):
@@ -201,7 +208,15 @@ def cmd_table(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it.
+
+    `main` calls this on every invocation, so in-process callers pay for
+    the argparse tree once.  Each parse returns a fresh namespace; do not
+    add arguments to the returned parser, since every later `main` call
+    sees them.
+    """
     parser = argparse.ArgumentParser(
         prog="endoclass",
         description="classification toolkit for 2-dimensional endo-commutative straight algebras")

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import time
 
 import pytest
 
-from endoclass.cli import main
+from endoclass.cli import build_parser, main
 from endoclass.equiv import MAX_DEGREE_BOUND
 from endoclass.fields import MAX_EXPONENT
 
@@ -119,6 +120,16 @@ def test_equiv_sim3_tuple_witness(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["related"] is True and len(doc["witness"]) == 2
+
+
+@pytest.mark.parametrize("relation", ["sim2", "sim4"])
+def test_equiv_f2x_undecidable_names_the_degree_bound(capsys, relation):
+    # the error points at the CLI option, not at a library function
+    code, out, err = run_cli(capsys, "equiv", "--field", "F2(X)",
+                             "--relation", relation, "--test", "X", "X^2")
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("endoclass: error: ")
+    assert "--degree-bound" in err and "bounded_refutation_search" not in err
 
 
 # ---------------------------------------------------------------------------
@@ -359,3 +370,66 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verdict: pass" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# parser reuse
+# ---------------------------------------------------------------------------
+
+def run_main(capsys, argv):
+    """(exit code, stdout, stderr) of one call, usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+# interleaved so that a value left behind by one call would show in the
+# next: each command's own --format default, --subclass given then
+# omitted (the json output names it), --reps then --test, a usage error
+# and --version between valid calls
+REUSE_SEQUENCE = [
+    ["fields", "--field", "F4"],
+    ["enumerate", "--field", "F3", "--subclass", "2"],
+    ["enumerate", "--field", "F3", "--format", "json", "--subclass", "2"],
+    ["enumerate", "--field", "F3", "--format", "json"],
+    ["enumerate", "--field", "F3"],
+    ["table", "--field", "F5", "--algebra", "0,1,1,0,-1,2"],
+    ["equiv", "--field", "F7", "--relation", "sim1", "--reps"],
+    ["equiv", "--field", "F7", "--relation", "sim1", "--test", "1", "3"],
+    ["verify", "--field", "F2", "--jobs", "2"],
+    ["iso", "--field", "F5", "--lhs", "0,1,1,0,-1,2", "--rhs", "0,4,4,0,-4,4"],
+    ["--version"],
+    ["classes", "--field", "F3", "--format", "text"],
+    ["verify", "--field", "F3"],
+    ["table", "--field", "F5", "--algebra", "0,1,1,0,-1,2", "--format", "json"],
+    ["fields", "--field", "F4", "--format", "tsv"],
+    ["equiv", "--help"],
+]
+
+
+def test_reused_parser_leaks_no_state(capsys):
+    reused = [run_main(capsys, argv) for argv in REUSE_SEQUENCE]
+    for argv, got in zip(REUSE_SEQUENCE, reused):
+        build_parser.cache_clear()
+        assert run_main(capsys, argv) == got, argv
+    codes = [code for code, _, _ in reused]
+    assert codes == [0, 0, 0, 0, 0, 0, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0]
+    assert json.loads(reused[2][1])["subclass"] == 2
+    assert json.loads(reused[3][1])["subclass"] is None
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    main(["fields", "--field", "F2"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["fields", "--field", "F3"]) == 0
+    assert main(["equiv", "--field", "F5", "--relation", "sim1", "--reps"]) == 0
+    assert built == []
