@@ -356,17 +356,24 @@ def to_straight_form(A: StructureMatrix):
 
 def rank(A: StructureMatrix) -> int:
     """Gaussian-elimination rank of the 4x2 matrix, in {0, 1, 2}."""
-    rows = [list(r) for r in A.rows]
+    return _gauss_jordan([list(r) for r in A.rows], 2)
+
+
+def _gauss_jordan(rows, ncols: int) -> int:
+    """Bring the first `ncols` columns of `rows` (lists of field elements,
+    changed in place) to reduced row echelon form; return the rank."""
     rk = 0
-    for col in range(2):
-        pivot = next((r for r in range(rk, 4) if rows[r][col]), None)
+    for col in range(ncols):
+        pivot = next((r for r in range(rk, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rk], rows[pivot] = rows[pivot], rows[rk]
         inv = rows[rk][col].inverse()
-        for r in range(rk + 1, 4):
-            factor = rows[r][col] * inv
-            rows[r] = [rows[r][j] - factor * rows[rk][j] for j in range(2)]
+        rows[rk] = [v * inv for v in rows[rk]]
+        for r in range(len(rows)):
+            if r != rk and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [v - factor * u for v, u in zip(rows[r], rows[rk])]
         rk += 1
     return rk
 

@@ -271,7 +271,9 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         # the reader left (as `| head` does): say nothing, and keep the
         # interpreter's final flush from raising again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except (FieldError, ValueError) as exc:
         print(f"endoclass: error: {exc}", file=sys.stderr)

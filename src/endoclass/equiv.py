@@ -214,8 +214,11 @@ def _class_test(rel: RelationId, field: Field, elements):
     """(image, key) with t ~ t' iff key(t, t') in image, over a finite field.
 
     The image is built in one pass: the nonzero squares for sim1, sim3
-    and sim5, the values x^2 + x for sim2 and sim4.  Each key is the
-    quantity `related` tests, with t the representative.
+    and sim5, the values x^2 + x for sim2 and sim4.  With r the
+    representative, the sim2 and sim4 keys are the quantities `related`
+    tests.  The sim1/sim3 key r*t and the sim5 key r(4+r)t(4+t) are
+    `related`'s r/t and t(4+r)/(r(4+t)) times a nonzero square, t^2 or
+    (r(4+t))^2, so they give the same answer without a division.
     """
     if rel in (RelationId.SIM2, RelationId.SIM4):
         image = {x * x + x for x in elements}
@@ -225,8 +228,8 @@ def _class_test(rel: RelationId, field: Field, elements):
     image = {x * x for x in elements if x}
     if rel is RelationId.SIM5:
         four = field.from_int(4)
-        return image, lambda r, t: (t * (four + r)) / (r * (four + t))
-    return image, lambda r, t: r / t
+        return image, lambda r, t: r * (four + r) * t * (four + t)
+    return image, lambda r, t: r * t
 
 
 def rep_system(rel: RelationId, field: Field) -> RepSystem:

@@ -751,10 +751,11 @@ class RationalFunctionField2(Field):
         return packed
 
     def format(self, el):
-        num, den = el.payload
-        if den == 1:
-            return gf2x.to_string(num)
-        return f"({gf2x.to_string(num)})/({gf2x.to_string(den)})"
+        num, den = (_format_poly([(a >> i) & 1 for i in range(a.bit_length())], "X")
+                    for a in el.payload)
+        if el.payload[1] == 1:
+            return num
+        return f"({num})/({den})"
 
 
 # ---------------------------------------------------------------------------

@@ -52,24 +52,20 @@ def gcd(a: int, b: int) -> int:
     return a
 
 
+def _odd_part(a: int) -> int:
+    """The terms X^(2i+1) of a: a masked by 0b1010...10 as wide as a."""
+    half = (a.bit_length() + 1) // 2
+    return a & ((1 << 2 * half) - 1) // 3 * 2
+
+
 def is_square(a: int) -> bool:
     """True iff every exponent with a nonzero coefficient is even."""
-    return a & _ODD_MASK(a) == 0
-
-
-def _ODD_MASK(a: int) -> int:
-    # 0b1010...10 wide enough to cover a
-    mask = 0
-    bit = 2
-    while bit <= a:
-        mask |= bit
-        bit <<= 2
-    return mask
+    return _odd_part(a) == 0
 
 
 def has_odd_term(a: int) -> bool:
     """True iff some X^(2i+1) appears with coefficient 1."""
-    return not is_square(a)
+    return _odd_part(a) != 0
 
 
 def sqrt(a: int) -> int:
@@ -86,31 +82,5 @@ def sqrt(a: int) -> int:
 
 def odd_even_split(a: int) -> tuple[int, int]:
     """Split into (odd part, even part) with odd part = X * s(X)^2."""
-    odd = 0
-    even = 0
-    i = 0
-    while a:
-        if a & 1:
-            if i & 1:
-                odd |= 1 << i
-            else:
-                even |= 1 << i
-        a >>= 1
-        i += 1
-    return odd, even
-
-
-def to_string(a: int, var: str = "X") -> str:
-    """Render as a sum of monomials, highest degree first ("X^3+X+1")."""
-    if a == 0:
-        return "0"
-    terms = []
-    for i in range(deg(a), -1, -1):
-        if (a >> i) & 1:
-            if i == 0:
-                terms.append("1")
-            elif i == 1:
-                terms.append(var)
-            else:
-                terms.append(f"{var}^{i}")
-    return "+".join(terms)
+    odd = _odd_part(a)
+    return odd, a ^ odd

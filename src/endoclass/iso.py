@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import SParams, StructureMatrix, straight_rewrite
+from .algebra import SParams, StructureMatrix, _gauss_jordan, straight_rewrite
 from .fields import Field, FieldElement, FieldMismatchError, FieldTables
 
 
@@ -136,23 +136,13 @@ class LiftedTransform:
             for i in range(4)))
 
     def inverse(self) -> "LiftedTransform":
-        """Inverse by Gaussian elimination over the field."""
-        n = 4
-        field = self.field
-        aug = [list(self.entries[i]) + [field.one() if j == i else field.zero()
-                                        for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col]), None)
-            if pivot is None:
-                raise SingularTransformError("lifted matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [v * inv for v in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    factor = aug[r][col]
-                    aug[r] = [aug[r][j] - factor * aug[col][j] for j in range(2 * n)]
-        return LiftedTransform(field, tuple(tuple(row[n:]) for row in aug))
+        """Inverse by Gauss-Jordan elimination over the field."""
+        one, zero = self.field.one(), self.field.zero()
+        aug = [list(row) + [one if j == i else zero for j in range(4)]
+               for i, row in enumerate(self.entries)]
+        if _gauss_jordan(aug, 4) < 4:
+            raise SingularTransformError("lifted matrix is singular")
+        return LiftedTransform(self.field, tuple(tuple(row[4:]) for row in aug))
 
 
 def lift(X: Transform) -> LiftedTransform:
@@ -168,10 +158,10 @@ def lift(X: Transform) -> LiftedTransform:
 
 def transform(A: StructureMatrix, X: Transform) -> StructureMatrix:
     """Structure matrix of the same algebra after the change of basis X:
-    lift(X)^(-1) * A * X."""
+    lift(X)^(-1) * A * X, with lift(X)^(-1) = lift(X^(-1))."""
     if X.field != A.field:
         raise FieldMismatchError("transform and matrix must share a field")
-    Linv = lift(X).inverse().entries
+    Linv = lift(X.inverse()).entries
     rows = A.rows
     out = []
     for i in range(4):

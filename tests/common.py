@@ -31,6 +31,15 @@ def units(field):
     return [e for e in field.elements() if e]
 
 
+def random_element(field, rng):
+    """A seeded random element; of small height over Q and F2(X)."""
+    if field.spec_string() == "Q":
+        return field.parse(f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}")
+    if field.spec_string() == "F2(X)":
+        return field.from_polys(rng.randrange(32), rng.randrange(1, 32))
+    return field.element_of_code(rng.randrange(field.order()))
+
+
 class ScanStarted(Exception):
     """Raised at the first tuple a scan visits under `forbid_scan`."""
 

@@ -251,6 +251,17 @@ def test_rank_matches_pac_pattern_for_sforms():
         assert rank(S.to_structure_matrix()) == expected
 
 
+@pytest.mark.parametrize("spec, t", [("Q", "1/3"), ("F2(X)", "X+1")])
+def test_rank_over_infinite_fields(spec, t):
+    field = field_from_spec(spec)
+    one, zero, t = field.one(), field.zero(), field.parse(t)
+    # t*t != 1, so the rows (1, t) and (t, 1) are independent
+    assert rank(StructureMatrix(field, ((one, t), (t, one), (zero, zero), (zero, zero)))) == 2
+    # every row is a multiple of (1, t)
+    assert rank(StructureMatrix(field, ((zero, zero), (t, t * t), (one, t), (t, t * t)))) == 1
+    assert rank(StructureMatrix.zero(field)) == 0
+
+
 # ---------------------------------------------------------------------------
 # type taxonomy
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 import time
@@ -291,6 +292,18 @@ def test_broken_pipe_exits_141_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""  # in particular, no traceback
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_broken_pipe_in_process_leaves_no_descriptor(monkeypatch):
+    before = len(os.listdir("/proc/self/fd"))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "w") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert main(["fields", "--field", "F2"]) == 141
+        monkeypatch.undo()
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_unknown_flag_rejected(capsys):

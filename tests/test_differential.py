@@ -10,6 +10,8 @@
   orbit scan over all of GL2 in lexicographic order: for each member it
   keeps the first X that hits it, i.e. the lexicographically least
   witness.
+* The change of basis through lift(X^(-1)) against the route that
+  inverts lift(X) by elimination.
 * The lookup-based representative systems against the pairwise greedy
   partition that calls `related` for every unassigned element.
 * The linear-solve bounded F2(X) search against the double loop over
@@ -17,12 +19,13 @@
 """
 
 import functools
+import itertools
 import random
 
 import pytest
 
-from endoclass import (RelationId, are_isomorphic, field_from_spec, gf2x, is_curled,
-                       related, theorem_families, transform)
+from endoclass import (RelationId, Transform, are_isomorphic, field_from_spec, gf2x,
+                       is_curled, lift, related, theorem_families, transform)
 from endoclass.algebra import (_TYPE_BY_PATTERN, StructureMatrix, _ec_straight_codes,
                                straight_generators)
 from endoclass.classify import _TYPE_ALIASES, enumerate_type, enumerate_type_ii1, iso_classes
@@ -31,7 +34,7 @@ from endoclass.equiv import (RepSystem, UnsupportedRelation, _check_supported,
 from endoclass.fields import FieldTables
 from endoclass.iso import apply_transform_codes, gl2_lifted, sform_orbit
 
-from common import tr
+from common import random_element, tr
 
 SMALL_FIELDS = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16", "F17"]
 FIELDS_UP_TO_64 = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16", "F17",
@@ -328,6 +331,53 @@ def test_are_isomorphic_falls_back_on_non_sform_targets():
     assert w is not None and w.codes() == gl2_first_witness(mats[0], positive)
     assert are_isomorphic(mats[0], negative) is None
     assert gl2_first_witness(mats[0], negative) is None
+
+
+# ---------------------------------------------------------------------------
+# change of basis
+# ---------------------------------------------------------------------------
+
+def transform_by_elimination(A, X):
+    """lift(X)^(-1) * A * X with lift(X) inverted by Gauss-Jordan elimination."""
+    L = lift(X).inverse().entries
+    out = []
+    for i in range(4):
+        me, mf = (sum((L[i][k] * A.rows[k][j] for k in range(1, 4)), L[i][0] * A.rows[0][j])
+                  for j in range(2))
+        out.append((me * X.x + mf * X.z, me * X.y + mf * X.w))
+    return StructureMatrix(A.field, out)
+
+
+def test_transform_matches_elimination_on_gl2_f3():
+    F3 = field_from_spec("F3")
+    gl2 = [Transform(*(F3.element_of_code(c) for c in codes))
+           for codes in itertools.product(range(3), repeat=4)
+           if codes[0] * codes[3] % 3 != codes[1] * codes[2] % 3]
+    assert len(gl2) == 48
+    zero = StructureMatrix.zero(F3)
+    non_sform = StructureMatrix.from_ints(F3, ((1, 2), (2, 0), (1, 1), (0, 2)))
+    curled = StructureMatrix.from_ints(F3, ((1, 0), (0, 2), (1, 1), (1, 0)))
+    assert is_curled(zero) and is_curled(curled) and not is_curled(non_sform)
+    sforms = [s.to_structure_matrix() for s in enumerate_type_ii1(F3)[::7]]
+    for A in [zero, non_sform, curled] + sforms:
+        for X in gl2:
+            assert transform(A, X) == transform_by_elimination(A, X)
+
+
+@pytest.mark.parametrize("spec", ["F9", "Q", "F2(X)"])
+def test_transform_matches_elimination_on_random_inputs(spec):
+    field = field_from_spec(spec)
+    rng = random.Random(10)
+    count = 0
+    while count < 200:
+        X = [random_element(field, rng) for _ in range(4)]
+        if X[0] * X[3] == X[1] * X[2]:
+            continue
+        X = Transform(*X)
+        A = StructureMatrix(field, [[random_element(field, rng) for _ in range(2)]
+                                    for _ in range(4)])
+        assert transform(A, X) == transform_by_elimination(A, X)
+        count += 1
 
 
 # ---------------------------------------------------------------------------

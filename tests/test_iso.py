@@ -10,7 +10,7 @@ from endoclass import (FieldMismatchError, InfiniteFieldError, LiftedTransform,
 from endoclass.classify import enumerate_type_ii1, iso_classes
 from endoclass.iso import gl2_lifted, gl2_order
 
-from common import sp, tr
+from common import random_element, sp, tr
 
 F3 = field_from_spec("F3")
 F5 = field_from_spec("F5")
@@ -85,6 +85,32 @@ def test_gauss_inverse_agrees_with_lift_of_inverse():
         for _ in range(60):
             X = _random_transform(field, rng)
             assert lift(X).inverse() == lift(X.inverse())
+
+
+@pytest.mark.parametrize("spec", ["Q", "F2(X)"])
+def test_gauss_inverse_agrees_with_lift_of_inverse_over_infinite_fields(spec):
+    field = field_from_spec(spec)
+    rng = random.Random(6)
+    count = 0
+    while count < 40:
+        X = [random_element(field, rng) for _ in range(4)]
+        if X[0] * X[3] != X[1] * X[2]:
+            X = Transform(*X)
+            assert lift(X).inverse() == lift(X.inverse())
+            count += 1
+
+
+@pytest.mark.parametrize("spec", ["F5", "Q", "F2(X)"])
+def test_singular_lifted_transform_has_no_inverse(spec):
+    field = field_from_spec(spec)
+    one, zero = field.one(), field.zero()
+    rows = [[zero] * 4 for _ in range(4)]
+    with pytest.raises(SingularTransformError):
+        LiftedTransform(field, rows).inverse()
+    # rank 3: the identity with its last row copied from the first
+    rows = [[one if i == j else zero for j in range(4)] for i in range(3)]
+    with pytest.raises(SingularTransformError):
+        LiftedTransform(field, rows + [rows[0]]).inverse()
 
 
 # ---------------------------------------------------------------------------

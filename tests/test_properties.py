@@ -1,5 +1,6 @@
-"""Property tests: element round trips, the CLI's usage-error contract and
-the closed-form endo-commutativity check against its definition.
+"""Property tests: element round trips, the GF(2)[X] helpers, the CLI's
+usage-error contract and the closed-form endo-commutativity check against
+its definition.
 
 Example counts are small and the search is derandomized, so the suite
 stays fast and every run checks the same examples.
@@ -12,7 +13,7 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from endoclass import (SParams, field_from_spec, is_endo_commutative_definitional,
+from endoclass import (SParams, field_from_spec, gf2x, is_endo_commutative_definitional,
                        is_endo_commutative_straight)
 from endoclass.cli import main
 from endoclass.fields import MAX_ORDER, MAX_PRIME, _is_prime
@@ -51,6 +52,50 @@ def test_parse_format_round_trip_rationals(fr):
 def test_parse_format_round_trip_f2x(num, den):
     el = F2X.from_polys(num, den)
     assert F2X.parse(F2X.format(el)) == el
+
+
+def monomial_listing(a, var="X"):
+    """Terms of a packed GF(2)[X] polynomial, highest degree first
+    ("X^3+X+1"), written out bit by bit."""
+    if a == 0:
+        return "0"
+    terms = []
+    for i in range(a.bit_length() - 1, -1, -1):
+        if (a >> i) & 1:
+            if i == 0:
+                terms.append("1")
+            elif i == 1:
+                terms.append(var)
+            else:
+                terms.append(f"{var}^{i}")
+    return "+".join(terms)
+
+
+@SETTINGS
+@given(st.integers(0, 2**40), st.integers(1, 2**40))
+def test_f2x_format_matches_monomial_listing(num, den):
+    el = F2X.from_polys(num, den)
+    num, den = el.payload
+    expected = (monomial_listing(num) if den == 1
+                else f"({monomial_listing(num)})/({monomial_listing(den)})")
+    assert F2X.format(el) == expected
+
+
+def exponents(a):
+    return [i for i in range(a.bit_length()) if (a >> i) & 1]
+
+
+@SETTINGS
+@given(st.one_of(st.integers(0, 2**8), st.integers(0, 2**200)))
+def test_odd_even_split_separates_exponent_parities(a):
+    odd, even = gf2x.odd_even_split(a)
+    assert odd ^ even == a
+    assert all(i % 2 == 1 for i in exponents(odd))
+    assert all(i % 2 == 0 for i in exponents(even))
+    assert gf2x.is_square(a) == (odd == 0)
+    assert gf2x.has_odd_term(a) == (odd != 0)
+    root = gf2x.sqrt(even)
+    assert gf2x.mul(root, root) == even
 
 
 def run_main(argv):
