@@ -4,30 +4,30 @@ Four kinds of field are supported:
 
   * prime fields F_p for primes p <= 97,
   * extension fields F_{p^k} with p^k <= 256, given by an irreducible
-    degree-k modulus over F_p (elements are coefficient tuples
-    (c0, ..., c_{k-1}), little-endian, printed as polynomials in w),
+    degree-k modulus over F_p (elements are printed as polynomials in w),
   * the rationals Q (elements are reduced `fractions.Fraction`s),
   * the rational function field F2(X) (elements are coprime pairs of
     GF(2)[X] polynomials packed into ints, see `gf2x`).
 
-Finite-field elements are enumerable in a fixed order: code n in
-[0, q) maps to the element whose payload digits are the base-p digits
-of n, so code 0 is zero, code 1 is one, and the rest follow in
-lexicographic payload order.  Hot loops (exhaustive scans, orbit
-searches) run on these integer codes through precomputed lookup
-tables; the `FieldElement` layer wraps the same payloads for the
-public API.  The tables need no payload arithmetic per entry: addition
-works on the base-p digits of the codes, and multiplication and
-inversion go through the discrete logarithm to the code-first
-primitive element (`FieldTables`).
+A finite-field element is its code: the integer n in [0, q) whose
+base-p digits are the element's coefficients, little-endian, so code 0
+is zero, code 1 is one, and the rest follow in lexicographic
+coefficient order.  All arithmetic on codes is lookup in one set of
+dense tables per field (`FieldTables`), which both the hot loops
+(exhaustive scans, orbit searches) and the `FieldElement` layer use.
+Coefficients appear only where the tables are built, where a
+polynomial is parsed and where an element is printed.  `field_make`
+interns its handles, so the tables of a field are built once per
+process.
 
 Field spec strings: "F5", "F2^2/x^2+x+1", "Q", "F2(X)".  Prime-power
 shorthands like "F4", "F8", "F9" pick the first irreducible modulus in
-payload code order.
+code order.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -93,11 +93,10 @@ def _poly_mul(a, b, p):
     return _poly_trim(out)
 
 
-def _poly_divmod(a, b, p):
+def _poly_mod(a, b, p):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     a = list(a)
-    q = [0] * max(len(a) - len(b) + 1, 0)
     inv_lead = pow(b[-1], p - 2, p)
     while len(a) >= len(b) and any(a):
         if a[-1] == 0:
@@ -105,15 +104,10 @@ def _poly_divmod(a, b, p):
             continue
         shift = len(a) - len(b)
         coef = a[-1] * inv_lead % p
-        q[shift] = coef
         for i, bi in enumerate(b):
             a[shift + i] = (a[shift + i] - coef * bi) % p
         a.pop()
-    return _poly_trim(q), _poly_trim(a)
-
-
-def _poly_mod(a, b, p):
-    return _poly_divmod(a, b, p)[1]
+    return _poly_trim(a)
 
 
 def _poly_is_irreducible(m, p):
@@ -133,6 +127,13 @@ def _poly_from_code(code: int, p: int, length: int) -> tuple[int, ...]:
         code, r = divmod(code, p)
         digits.append(r)
     return tuple(digits)
+
+
+def _poly_to_code(coeffs, p: int) -> int:
+    code = 0
+    for c in reversed(coeffs):
+        code = code * p + c
+    return code
 
 
 _TERM_RE = re.compile(r"^(\d+)?\s*(?:([a-zA-Z])\s*(?:\^\s*(\d+))?)?$")
@@ -412,13 +413,12 @@ class Field:
 class FieldTables:
     """Dense lookup tables for one finite field, indexed by element code.
 
-    Codes are base-p digit strings of the payloads, so addition works
-    digit by digit on the codes (XOR in characteristic 2) and needs no
-    payload arithmetic.  Multiplication and inversion go through one
+    Addition works digit by digit on the base-p codes (XOR in
+    characteristic 2).  Multiplication and inversion go through one
     log/antilog pair: the powers of the code-first primitive element g
     give exp[i] = g^i and log[exp[i]] = i, then a * b = exp[log a + log b]
-    and 1/a = exp[-log a].  Only the search for g multiplies payloads,
-    at most q - 1 times per candidate.
+    and 1/a = exp[-log a].  Only the search for g multiplies
+    polynomials, at most q - 1 times per candidate.
     """
 
     __slots__ = ("q", "p", "add", "sub", "mul", "neg", "inv")
@@ -453,88 +453,83 @@ class FieldTables:
 
 def _powers_of_primitive(field: "FiniteFieldBase") -> list[int]:
     """Codes of g^0, ..., g^(q-2) for the code-first generator g of the
-    multiplicative group."""
-    q = field.order()
-    one = field._payload_of_code(1)
-    enc = field._code_of_payload
+    multiplicative group, multiplied as polynomials modulo the field's
+    modulus (F_p is F_p[x]/(x))."""
+    p, k, modulus, q = field.p, field.k, field.modulus, field.order()
     for g in range(1, q):
-        gp = field._payload_of_code(g)
+        gp = _poly_trim(list(_poly_from_code(g, p, k)))
         powers, x = [1], gp
-        while x != one and len(powers) < q - 1:
-            powers.append(enc(x))
-            x = field._mul(x, gp)
-        if x == one and len(powers) == q - 1:
+        while x != (1,) and len(powers) < q - 1:
+            powers.append(_poly_to_code(x, p))
+            x = _poly_mod(_poly_mul(x, gp, p), modulus, p)
+        if x == (1,) and len(powers) == q - 1:
             return powers
     raise AssertionError(f"{field.spec_string()} has no primitive element")  # pragma: no cover
 
 
 class FiniteFieldBase(Field):
-    """Shared coding/enumeration machinery for F_p and F_{p^k}."""
+    """F_p[x]/(modulus) for F_p and F_{p^k}; payloads are element codes.
 
-    _tables: FieldTables | None = None
+    Every operation on codes is one lookup in `tables()`, built on first
+    use.
+    """
+
+    def __init__(self, descriptor: FieldDescriptor, p: int, k: int, modulus: tuple[int, ...]):
+        self.descriptor = descriptor
+        self.p, self.k, self.modulus = p, k, modulus
+        self._tables: FieldTables | None = None
 
     def order(self) -> int:
-        raise NotImplementedError
+        return self.p**self.k
 
-    def code_of(self, el: FieldElement) -> int:
-        return self._code_of_payload(el.payload)
-
-    def element_of_code(self, code: int) -> FieldElement:
-        if not 0 <= code < self.order():
-            raise FieldError(f"element code {code} out of range for {self.spec_string()}")
-        return FieldElement(self, self._payload_of_code(code))
-
-    def elements(self) -> list[FieldElement]:
-        return [self.element_of_code(c) for c in range(self.order())]
+    def characteristic(self) -> int:
+        return self.p
 
     def tables(self) -> FieldTables:
         if self._tables is None:
             self._tables = FieldTables(self)
         return self._tables
 
-
-class PrimeField(FiniteFieldBase):
-    """F_p with residue payloads in [0, p)."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.descriptor = FieldDescriptor.prime(p)
-        self._tables = None
-
-    def order(self):
-        return self.p
-
-    def characteristic(self):
-        return self.p
-
-    def spec_string(self):
-        return f"F{self.p}"
-
     def _from_int_payload(self, n):
         return n % self.p
 
     def _add(self, a, b):
-        return (a + b) % self.p
+        return self.tables().add[a][b]
 
     def _sub(self, a, b):
-        return (a - b) % self.p
+        return self.tables().sub[a][b]
 
     def _mul(self, a, b):
-        return (a * b) % self.p
+        return self.tables().mul[a][b]
 
     def _neg(self, a):
-        return -a % self.p
+        return self.tables().neg[a]
 
     def _inv(self, a):
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self.spec_string()}")
-        return pow(a, self.p - 2, self.p)
+        return self.tables().inv[a]
 
-    def _code_of_payload(self, a):
-        return a
+    def code_of(self, el: FieldElement) -> int:
+        return el.payload
 
-    def _payload_of_code(self, c):
-        return c
+    def element_of_code(self, code: int) -> FieldElement:
+        if not 0 <= code < self.order():
+            raise FieldError(f"element code {code} out of range for {self.spec_string()}")
+        return FieldElement(self, code)
+
+    def elements(self) -> list[FieldElement]:
+        return [FieldElement(self, c) for c in range(self.order())]
+
+
+class PrimeField(FiniteFieldBase):
+    """F_p; the code of a residue is the residue."""
+
+    def __init__(self, p: int):
+        super().__init__(FieldDescriptor.prime(p), p, 1, (0, 1))
+
+    def spec_string(self):
+        return f"F{self.p}"
 
     def parse(self, s):
         try:
@@ -547,20 +542,10 @@ class PrimeField(FiniteFieldBase):
 
 
 class ExtensionField(FiniteFieldBase):
-    """F_{p^k} as F_p[w]/(modulus); payloads are length-k coefficient tuples."""
+    """F_{p^k} as F_p[w]/(modulus), printed as polynomials in w."""
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
-        self.p = p
-        self.k = k
-        self.modulus = modulus
-        self.descriptor = FieldDescriptor.extension(p, k, modulus)
-        self._tables = None
-
-    def order(self):
-        return self.p**self.k
-
-    def characteristic(self):
-        return self.p
+        super().__init__(FieldDescriptor.extension(p, k, modulus), p, k, modulus)
 
     def spec_string(self):
         return f"F{self.p}^{self.k}/{_format_poly(self.modulus, 'x')}"
@@ -569,65 +554,14 @@ class ExtensionField(FiniteFieldBase):
         """The class of w, i.e. the adjoined root of the modulus."""
         return self.parse("w")
 
-    def _pad(self, coeffs) -> tuple[int, ...]:
-        return tuple(coeffs) + (0,) * (self.k - len(coeffs))
-
-    def _from_int_payload(self, n):
-        return self._pad((n % self.p,) if n % self.p else ())
-
-    def _add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def _neg(self, a):
-        p = self.p
-        return tuple(-x % p for x in a)
-
-    def _mul(self, a, b):
-        prod = _poly_mul(_poly_trim(list(a)), _poly_trim(list(b)), self.p)
-        return self._pad(_poly_mod(prod, self.modulus, self.p))
-
-    def _inv(self, a):
-        at = _poly_trim(list(a))
-        if not at:
-            raise ZeroDivisionError(f"0 has no inverse in {self.spec_string()}")
-        # extended Euclid in F_p[x] against the modulus
-        p = self.p
-        r0, r1 = self.modulus, at
-        s0, s1 = (), (1,)
-        while r1:
-            q, r = _poly_divmod(r0, r1, p)
-            qs1 = _poly_mul(q, s1, p)
-            width = max(len(s0), len(qs1))
-            s_next = _poly_trim([
-                ((s0[i] if i < len(s0) else 0) - (qs1[i] if i < len(qs1) else 0)) % p
-                for i in range(width)])
-            r0, r1, s0, s1 = r1, r, s1, s_next
-        # r0 is the gcd, a nonzero constant since the modulus is irreducible
-        c_inv = pow(r0[0], p - 2, p)
-        return self._pad(tuple(x * c_inv % p for x in s0))
-
-    def _code_of_payload(self, a):
-        code = 0
-        for c in reversed(a):
-            code = code * self.p + c
-        return code
-
-    def _payload_of_code(self, code):
-        return _poly_from_code(code, self.p, self.k)
-
     def parse(self, s):
         coeffs = _parse_poly(s, self.p)
         if len(coeffs) > self.k:
             coeffs = _poly_mod(coeffs, self.modulus, self.p)
-        return self.element(self._pad(coeffs))
+        return self.element(_poly_to_code(coeffs, self.p))
 
     def format(self, el):
-        return _format_poly(el.payload, "w")
+        return _format_poly(_poly_from_code(el.payload, self.p, self.k), "w")
 
 
 class RationalField(Field):
@@ -763,7 +697,7 @@ class RationalFunctionField2(Field):
 # ---------------------------------------------------------------------------
 
 def default_modulus(p: int, k: int) -> tuple[int, ...]:
-    """First monic irreducible degree-k modulus in payload code order."""
+    """First monic irreducible degree-k modulus in code order."""
     for code in range(p**k):
         cand = _poly_from_code(code, p, k) + (1,)
         if _poly_is_irreducible(cand, p):
@@ -771,8 +705,16 @@ def default_modulus(p: int, k: int) -> tuple[int, ...]:
     raise FieldError(f"no irreducible modulus of degree {k} over F{p}")  # pragma: no cover
 
 
+@functools.cache
 def field_make(spec: FieldDescriptor) -> Field:
-    """Build a field handle, validating every descriptor invariant."""
+    """The field handle of a descriptor, validating every invariant.
+
+    Handles are interned: equal descriptors give the same `Field`, so a
+    process builds each finite field's lookup tables once.  A descriptor
+    whose modulus is not reduced and monic maps to the handle of the
+    normalized one.  Only valid descriptors are cached: an invalid one
+    raises before anything is stored.
+    """
     if spec.kind == KIND_PRIME:
         p = spec.p
         if not isinstance(p, int) or not _is_prime(p):
@@ -800,6 +742,8 @@ def field_make(spec: FieldDescriptor) -> Field:
             modulus = tuple(c % p for c in modulus)
         if not _poly_is_irreducible(modulus, p):
             raise FieldError(f"modulus {_format_poly(modulus, 'x')} is reducible over F{p}")
+        if modulus != spec.modulus:
+            return field_make(FieldDescriptor.extension(p, k, modulus))
         return ExtensionField(p, k, modulus)
     if spec.kind == KIND_RATIONALS:
         return RationalField()
@@ -858,7 +802,7 @@ def field_from_spec(s: str) -> Field:
 
 
 def enumerate_elements(field: Field) -> list[FieldElement]:
-    """All q elements in code order: 0, 1, then lexicographic payloads."""
+    """All q elements in code order: 0, 1, then lexicographic coefficients."""
     return field.elements()
 
 

@@ -1,7 +1,7 @@
 import pytest
 
-from endoclass import (AlgebraType, InfiniteFieldError, OversizedFieldError, check_iso_system,
-                       enumerate_subclasses, enumerate_type, enumerate_type_ii1,
+from endoclass import (AlgebraType, FamilyLabel, InfiniteFieldError, OversizedFieldError,
+                       check_iso_system, enumerate_subclasses, enumerate_type, enumerate_type_ii1,
                        field_from_spec, ii1_subclass, is_endo_commutative_straight,
                        iso_classes, theorem_families, transform, type_of,
                        verify_classification)
@@ -212,6 +212,73 @@ def test_verify_orbit_stabilizer_catches_a_dropped_member(monkeypatch):
     report = verify_classification(F5)
     assert not report.verdict
     assert any("orbit-stabilizer" in f and str(dropped) in f for f in report.failures)
+
+
+def verify_f3_with_families(monkeypatch, edit):
+    """Failures of verify over F3 when `edit` rewrites the predicted list."""
+    import endoclass.classify as classify
+    families = classify.theorem_families
+    monkeypatch.setattr(classify, "theorem_families", lambda field: edit(families(field)))
+    report = verify_classification(F3)
+    assert not report.verdict
+    return report.failures
+
+
+def test_verify_catches_a_missing_family(monkeypatch):
+    failures = verify_f3_with_families(monkeypatch, lambda fams: fams[:-1])
+    assert "10 computed classes vs 9 predicted families" in failures
+    assert ("class 3 (representative S(0, 1, 2, 0, 1, 0)) matches no predicted family"
+            in failures)
+
+
+def test_verify_catches_two_labels_in_one_class(monkeypatch):
+    label, member = theorem_families(F3)[0]
+    cls = next(c for c in iso_classes(enumerate_type_ii1(F3))
+               if member.codes() in {s.codes() for s in c.members})
+    other = next(s for s in cls.members if s.codes() != member.codes())
+    failures = verify_f3_with_families(
+        monkeypatch, lambda fams: fams + [(FamilyLabel("extra"), other)])
+    assert any(f.startswith(f"predicted extra and {label} fall in the same class")
+               for f in failures)
+
+
+def test_verify_catches_a_family_that_is_not_endo_commutative(monkeypatch):
+    bad = sp(F3, 1, 1, 1, 1, 1, 1)
+    assert not is_endo_commutative_straight(bad)
+    failures = verify_f3_with_families(
+        monkeypatch, lambda fams: fams + [(FamilyLabel("extra"), bad)])
+    assert f"predicted extra = {bad} is not endo-commutative" in failures
+
+
+def test_verify_catches_a_family_of_another_type(monkeypatch):
+    other = enumerate_type(F3, "III")[0]
+    failures = verify_f3_with_families(
+        monkeypatch, lambda fams: fams + [(FamilyLabel("extra"), other)])
+    assert f"predicted extra = {other} is not of type II1" in failures
+
+
+def test_verify_catches_a_family_absent_from_the_scan(monkeypatch):
+    # the type-II1 pattern (p = 0, a and c nonzero), but not endo-commutative
+    absent = sp(F3, 0, 1, 1, 0, 1, 1)
+    assert absent.codes() not in {s.codes() for s in enumerate_type_ii1(F3)}
+    failures = verify_f3_with_families(
+        monkeypatch, lambda fams: fams + [(FamilyLabel("extra"), absent)])
+    assert f"predicted extra = {absent} is absent from the type-II1 scan" in failures
+
+
+def test_verify_catches_a_wrong_automorphism_count(monkeypatch):
+    import endoclass.classify as classify
+    orbit = classify.sform_orbit
+
+    def one_more_automorphism(t, m):
+        least, generators, automorphisms = orbit(t, m)
+        return least, generators, automorphisms + 1
+    monkeypatch.setattr(classify, "sform_orbit", one_more_automorphism)
+    report = verify_classification(F3)
+    assert not report.verdict
+    counts = [f for f in report.failures if f.startswith("orbit-stabilizer check: class ")
+              and "automorphisms but" in f]
+    assert len(counts) == len(report.classes) == 10
 
 
 def test_orbit_stabilizer_counts_f5():

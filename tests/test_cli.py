@@ -446,3 +446,21 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert main(["fields", "--field", "F3"]) == 0
     assert main(["equiv", "--field", "F5", "--relation", "sim1", "--reps"]) == 0
     assert built == []
+
+
+def test_main_builds_field_tables_once(capsys, monkeypatch):
+    from endoclass.fields import FieldTables
+    built = []
+    init = FieldTables.__init__
+
+    def counting_init(self, field):
+        built.append(field.spec_string())
+        init(self, field)
+    monkeypatch.setattr(FieldTables, "__init__", counting_init)
+    for argv in (["equiv", "--field", "F243", "--relation", "sim1", "--reps"],
+                 ["equiv", "--field", "F243", "--relation", "sim5", "--test", "w", "2"],
+                 ["table", "--field", "F243", "--algebra", "0,w,1,0,1,1"],
+                 ["iso", "--field", "F243", "--lhs", "0,w,1,0,2,0", "--rhs", "0,1,1,0,2,0"]):
+        main(argv)
+    capsys.readouterr()
+    assert built in ([], ["F3^5/x^5+2x+1"])

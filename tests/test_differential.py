@@ -3,7 +3,7 @@
 * The one type-pattern scan against the q^5 type-II1 loop nest and the
   q^6 loop nest over every tuple that it replaced, list and order.
 * The log/antilog field tables against tables built entry by entry
-  from payload arithmetic.
+  from polynomial arithmetic on coefficient tuples.
 * The projective-point orbit derivation against the loop that rewrites
   every straight generator in full.
 * The straight-generator orbit scans against the exhaustive per-seed
@@ -31,7 +31,7 @@ from endoclass.algebra import (_TYPE_BY_PATTERN, StructureMatrix, _ec_straight_c
 from endoclass.classify import _TYPE_ALIASES, enumerate_type, enumerate_type_ii1, iso_classes
 from endoclass.equiv import (RepSystem, UnsupportedRelation, _check_supported,
                              bounded_refutation_search, carrier_elements, rep_system)
-from endoclass.fields import FieldTables
+from endoclass.fields import FieldTables, _poly_from_code, _poly_mod, _poly_mul
 from endoclass.iso import apply_transform_codes, gl2_lifted, sform_orbit
 
 from common import random_element, tr
@@ -116,17 +116,30 @@ def test_ii1_scan_matches_loop_nest(spec):
 # field tables
 # ---------------------------------------------------------------------------
 
-def payload_tables(field):
-    """Every entry from one payload-level operation and re-encoding."""
+def polynomial_ops(field):
+    """add, sub, mul and neg on codes by arithmetic on coefficient tuples
+    modulo the field's modulus (F_p is F_p[x]/(x)), with no lookup table."""
+    p, k, m = field.characteristic(), field.k, field.modulus
+    dec = lambda c: _poly_from_code(c, p, k)
+    enc = lambda coeffs: sum(c * p**i for i, c in enumerate(coeffs))
+    return {"add": lambda a, b: enc((x + y) % p for x, y in zip(dec(a), dec(b))),
+            "sub": lambda a, b: enc((x - y) % p for x, y in zip(dec(a), dec(b))),
+            "mul": lambda a, b: enc(_poly_mod(_poly_mul(dec(a), dec(b), p), m, p)),
+            "neg": lambda a: enc(-x % p for x in dec(a))}
+
+
+def polynomial_tables(field):
+    """Every entry from `polynomial_ops`, with inv read off the mul rows."""
     q = field.order()
-    payloads = [field._payload_of_code(c) for c in range(q)]
-    enc = field._code_of_payload
+    ops = polynomial_ops(field)
+    rng = range(q)
+    mul = [[ops["mul"](a, b) for b in rng] for a in rng]
     return {"q": q, "p": field.characteristic(),
-            "add": [[enc(field._add(a, b)) for b in payloads] for a in payloads],
-            "sub": [[enc(field._sub(a, b)) for b in payloads] for a in payloads],
-            "mul": [[enc(field._mul(a, b)) for b in payloads] for a in payloads],
-            "neg": [enc(field._neg(a)) for a in payloads],
-            "inv": [None] + [enc(field._inv(a)) for a in payloads[1:]]}
+            "add": [[ops["add"](a, b) for b in rng] for a in rng],
+            "sub": [[ops["sub"](a, b) for b in rng] for a in rng],
+            "mul": mul,
+            "neg": [ops["neg"](a) for a in rng],
+            "inv": [None] + [row.index(1) for row in mul[1:]]}
 
 
 @pytest.mark.parametrize("spec", FIELDS_UP_TO_64 + [
@@ -136,7 +149,7 @@ def payload_tables(field):
 def test_tables_match_payload_arithmetic(spec):
     field = field_from_spec(spec)
     t = FieldTables(field)
-    expected = payload_tables(field)
+    expected = polynomial_tables(field)
     for name in TABLES:
         assert getattr(t, name) == expected[name], name
 
@@ -147,22 +160,21 @@ def test_tables_match_field_elements_above_64(spec):
     t = FieldTables(field)
     q = field.order()
     assert (t.q, t.p) == (q, field.characteristic())
-    dec, enc = field.element_of_code, field.code_of
+    ref = polynomial_ops(field)
     rng = random.Random(spec)
     for _ in range(2000):
         a, b = rng.randrange(q), rng.randrange(q)
-        x, y = dec(a), dec(b)
-        assert t.add[a][b] == enc(x + y)
-        assert t.sub[a][b] == enc(x - y)
-        assert t.mul[a][b] == enc(x * y)
+        assert t.add[a][b] == ref["add"](a, b)
+        assert t.sub[a][b] == ref["sub"](a, b)
+        assert t.mul[a][b] == ref["mul"](a, b)
         if b:
-            assert t.inv[b] == enc(y.inverse())
+            assert ref["mul"](b, t.inv[b]) == 1
     for a in range(1, q):
         assert t.mul[a][t.inv[a]] == 1
     assert t.inv[0] is None
     for a in range(q):
         assert t.add[a][t.neg[a]] == 0
-        assert t.neg[a] == enc(-dec(a))
+        assert t.neg[a] == ref["neg"](a)
 
 
 # ---------------------------------------------------------------------------

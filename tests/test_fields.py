@@ -269,6 +269,35 @@ def test_division_by_zero():
         Q.one() / Q.zero()
 
 
+@pytest.mark.parametrize("spec, message", [("F97", "0 has no inverse in F97"),
+                                            ("F256", "0 has no inverse in F2^8/x^8+x^4+x^3+x+1")])
+def test_zero_has_no_inverse_in_a_table_field(spec, message):
+    f = field_from_spec(spec)
+    with pytest.raises(ZeroDivisionError) as err:
+        f.zero().inverse()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("spec", ["F2", "F97", "F4", "F256"])
+def test_element_code_out_of_range(spec):
+    f = field_from_spec(spec)
+    for code in (f.order(), -1):
+        with pytest.raises(FieldError):
+            f.element_of_code(code)
+
+
+@pytest.mark.parametrize("spec, same", [("F4", "F2^2/x^2+x+1"), ("F9", "F3^2/x^2+1"),
+                                        ("F7", "F7^1"), ("Q", " Q"), ("F2(X)", "F2(X)")])
+def test_fields_are_interned(spec, same):
+    assert field_from_spec(spec) is field_from_spec(same)
+
+
+def test_equal_moduli_give_one_field():
+    # a non-monic modulus is normalized before the field is interned
+    assert (field_make(FieldDescriptor.extension(3, 2, (2, 0, 2)))
+            is field_from_spec("F3^2/x^2+1"))
+
+
 def test_omega_input_accepted():
     f4 = field_from_spec("F4")
     assert f4.parse("ω+1") == f4.generator() + f4.one()
