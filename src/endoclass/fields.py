@@ -146,12 +146,13 @@ def _parse_poly(s: str, p: int) -> tuple[int, ...]:
         raise FieldError("empty polynomial string")
     # split into signed terms
     terms = []
-    sign, buf = 1, ""
+    sign, buf = 0, ""  # sign 0: no sign read yet, so a leading term is positive
     for ch in s:
         if ch in "+-":
             if buf.strip():
-                terms.append((sign, buf))
-            elif terms or buf.strip():
+                terms.append((sign or 1, buf))
+            elif sign:
+                # a second sign in a row, at the start ("--w") or after a term
                 raise FieldError(f"malformed polynomial: {s!r}")
             sign = 1 if ch == "+" else -1
             buf = ""
@@ -159,7 +160,7 @@ def _parse_poly(s: str, p: int) -> tuple[int, ...]:
             buf += ch
     if not buf.strip():
         raise FieldError(f"malformed polynomial: {s!r}")
-    terms.append((sign, buf))
+    terms.append((sign or 1, buf))
 
     coeffs: list[int] = []
     varname = None
@@ -413,12 +414,18 @@ class Field:
 class FieldTables:
     """Dense lookup tables for one finite field, indexed by element code.
 
-    Addition works digit by digit on the base-p codes (XOR in
-    characteristic 2).  Multiplication and inversion go through one
-    log/antilog pair: the powers of the code-first primitive element g
-    give exp[i] = g^i and log[exp[i]] = i, then a * b = exp[log a + log b]
-    and 1/a = exp[-log a].  Only the search for g multiplies
-    polynomials, at most q - 1 times per candidate.
+    Each row is built whole, as one C-level gather of an earlier row, so
+    a field costs O(q) Python-level steps.  The gather is
+    `perm.translate(row)`, which is row[perm[b]] for every b; while the
+    tables are built, rows are bytes padded to the 256 entries that
+    `translate` needs (q <= 256), and the padding is never read.
+    Addition works digit by digit on the base-p codes: if e = p^j is
+    the place of the top digit of a, then a + b = (a - e) + (e + b), so
+    row a is row a - e gathered through row e.  In characteristic 2
+    `sub` is `add`.  Multiplication goes through the code-first
+    primitive element g: row g^(i+1) is row g^i gathered through row g,
+    and 1/g^i = g^(-i).  The finished rows are lists of ints, which
+    Python indexes faster than bytes.
     """
 
     __slots__ = ("q", "p", "add", "sub", "mul", "neg", "inv")
@@ -426,44 +433,62 @@ class FieldTables:
     def __init__(self, field: "FiniteFieldBase"):
         q = self.q = field.order()
         p = self.p = field.characteristic()
-        rng = range(q)
+        ident = bytes(range(256))
+        add, e = [ident], 1
+        while e < q:
+            # row e turns digit j of b up by one, p - 1 round to 0: it
+            # rotates each block of e·p codes by e
+            step = e * p
+            plus_e = b"".join(ident[s + e:s + step] + ident[s:s + e]
+                              for s in range(0, q, step)) + ident[q:]
+            add.append(plus_e)
+            for a in range(e + 1, step):
+                add.append(plus_e.translate(add[a - e]))
+            e = step
+        self.neg = [row.index(0) for row in add]
+        self.add = [list(row[:q]) for row in add]
         if p == 2:
-            add = [[a ^ b for b in rng] for a in rng]
+            self.sub = self.add
         else:
-            # the low digit adds mod p, the higher digits by the row of a // p
-            low = [[(d + b) % p for b in rng] for d in range(p)]
-            high = [b // p for b in rng]
-            add = [list(rng)]
-            for a in range(1, q):
-                lo, up = low[a % p], add[a // p]
-                add.append([lo[b] + p * up[high[b]] for b in rng])
-        neg = [row.index(0) for row in add]
-        self.add, self.neg = add, neg
-        self.sub = [[row[nb] for nb in neg] for row in add]
+            minus = bytes(self.neg) + ident[q:]
+            self.sub = [list(minus.translate(row)[:q]) for row in add]
 
-        exp = _powers_of_primitive(field)
-        log = [0] * q
+        exp, times_g = _powers_of_primitive(field, self.add)
+        by_g = bytes(times_g) + ident[q:]
+        mul, row, inv = [[0] * q] + [None] * (q - 1), ident, [None] * q
         for i, c in enumerate(exp):
-            log[c] = i
-        exp2 = exp + exp
-        logs = log[1:]
-        self.mul = [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs]
-        self.inv = [None] + [exp[-la % (q - 1)] for la in logs]
+            mul[c] = list(row[:q])
+            inv[c] = exp[-i % (q - 1)]
+            row = by_g.translate(row)
+        self.mul, self.inv = mul, inv
 
 
-def _powers_of_primitive(field: "FiniteFieldBase") -> list[int]:
-    """Codes of g^0, ..., g^(q-2) for the code-first generator g of the
-    multiplicative group, multiplied as polynomials modulo the field's
-    modulus (F_p is F_p[x]/(x))."""
-    p, k, modulus, q = field.p, field.k, field.modulus, field.order()
+def _powers_of_primitive(field: "FiniteFieldBase",
+                         add: list[list[int]]) -> tuple[list[int], list[int]]:
+    """(powers, times_g) for the code-first generator g of the
+    multiplicative group: the codes of g^0, ..., g^(q-2), and times_g[b],
+    the code of g·b.  Multiplication by a candidate g is F_p-linear in
+    the digits of b, so times_g is built through the `add` rows from the
+    images g, wg, ..., w^(k-1)g of the digit places; w·x moves the
+    digits of x up one place and turns the top digit d into d·w^k,
+    which the modulus gives (F_p is F_p[x]/(x), with k = 1)."""
+    p, k, q = field.p, field.k, field.order()
+    top = q // p
+    # d·w^k = -d·(m_0 + m_1 w + ... + m_(k-1) w^(k-1)) for each digit d
+    w_k = [_poly_to_code([-d * c % p for c in field.modulus[:k]], p) for d in range(p)]
     for g in range(1, q):
-        gp = _poly_trim(list(_poly_from_code(g, p, k)))
-        powers, x = [1], gp
-        while x != (1,) and len(powers) < q - 1:
-            powers.append(_poly_to_code(x, p))
-            x = _poly_mod(_poly_mul(x, gp, p), modulus, p)
-        if x == (1,) and len(powers) == q - 1:
-            return powers
+        times_g, image = [0], g
+        for _ in range(k):
+            n, row = len(times_g), add[image].__getitem__
+            for _ in range(p - 1):
+                times_g += map(row, times_g[-n:])
+            image = add[image % top * p][w_k[image // top]]
+        powers, x = [1], g
+        while x != 1 and len(powers) < q - 1:
+            powers.append(x)
+            x = times_g[x]
+        if x == 1 and len(powers) == q - 1:
+            return powers, times_g
     raise AssertionError(f"{field.spec_string()} has no primitive element")  # pragma: no cover
 
 
@@ -696,8 +721,10 @@ class RationalFunctionField2(Field):
 # construction and module-level operations
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def default_modulus(p: int, k: int) -> tuple[int, ...]:
-    """First monic irreducible degree-k modulus in code order."""
+    """First monic irreducible degree-k modulus in code order (found once
+    per process)."""
     for code in range(p**k):
         cand = _poly_from_code(code, p, k) + (1,)
         if _poly_is_irreducible(cand, p):

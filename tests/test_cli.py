@@ -271,6 +271,20 @@ def test_rational_exponent_notation_is_refused(capsys, value):
     assert "exponent" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["table", "--field", "F9", "--algebra", "0,1,1,0,1,--w"],
+    ["table", "--field", "F9", "--algebra", "0,1,-+w,0,1,1"],
+    ["table", "--field", "F2(X)", "--algebra", "0,1,1,0,1,(--X)/(X+1)"],
+    ["fields", "--field", "F3^2/--x^2+1"],
+])
+def test_doubled_leading_sign_is_refused(capsys, argv):
+    # "--w" used to read as -w, i.e. 2w over F9
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("endoclass: error: ")
+    assert "malformed polynomial" in err
+
+
 @pytest.mark.parametrize("value, expected", [
     ("12", "12"), ("-3", "-3"), ("6/8", "3/4"), ("0.25", "1/4"), (" 7 ", "7"),
 ])

@@ -2,8 +2,9 @@
 
 * The one type-pattern scan against the q^5 type-II1 loop nest and the
   q^6 loop nest over every tuple that it replaced, list and order.
-* The log/antilog field tables against tables built entry by entry
-  from polynomial arithmetic on coefficient tuples.
+* The field tables against tables built entry by entry from
+  polynomial arithmetic on coefficient tuples, and against the
+  log/antilog construction that built them one entry at a time.
 * The projective-point orbit derivation against the loop that rewrites
   every straight generator in full.
 * The straight-generator orbit scans against the exhaustive per-seed
@@ -31,7 +32,8 @@ from endoclass.algebra import (_TYPE_BY_PATTERN, StructureMatrix, _ec_straight_c
 from endoclass.classify import _TYPE_ALIASES, enumerate_type, enumerate_type_ii1, iso_classes
 from endoclass.equiv import (RepSystem, UnsupportedRelation, _check_supported,
                              bounded_refutation_search, carrier_elements, rep_system)
-from endoclass.fields import FieldTables, _poly_from_code, _poly_mod, _poly_mul
+from endoclass.fields import (FieldTables, _poly_from_code, _poly_mod, _poly_mul, _poly_to_code,
+                               _poly_trim)
 from endoclass.iso import apply_transform_codes, gl2_lifted, sform_orbit
 
 from common import random_element, tr
@@ -175,6 +177,54 @@ def test_tables_match_field_elements_above_64(spec):
     for a in range(q):
         assert t.add[a][t.neg[a]] == 0
         assert t.neg[a] == ref["neg"](a)
+
+
+def log_antilog_tables(field):
+    """The tables entry by entry: addition on the base-p digits, and
+    products and inverses through the log/antilog pair of the code-first
+    primitive element, whose powers are polynomial products."""
+    q, p, k, m = field.order(), field.characteristic(), field.k, field.modulus
+    rng = range(q)
+    if p == 2:
+        add = [[a ^ b for b in rng] for a in rng]
+    else:
+        low = [[(d + b) % p for b in rng] for d in range(p)]
+        high = [b // p for b in rng]
+        add = [list(rng)]
+        for a in range(1, q):
+            lo, up = low[a % p], add[a // p]
+            add.append([lo[b] + p * up[high[b]] for b in rng])
+    neg = [row.index(0) for row in add]
+    for g in range(1, q):
+        gp = _poly_trim(list(_poly_from_code(g, p, k)))
+        exp, x = [1], gp
+        while x != (1,) and len(exp) < q - 1:
+            exp.append(_poly_to_code(x, p))
+            x = _poly_mod(_poly_mul(x, gp, p), m, p)
+        if x == (1,) and len(exp) == q - 1:
+            break
+    log = [0] * q
+    for i, c in enumerate(exp):
+        log[c] = i
+    exp2 = exp + exp
+    logs = log[1:]
+    return {"q": q, "p": p, "add": add, "neg": neg,
+            "sub": [[row[nb] for nb in neg] for row in add],
+            "mul": [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs],
+            "inv": [None] + [exp[-la % (q - 1)] for la in logs]}
+
+
+@pytest.mark.parametrize("spec", FIELDS_UP_TO_64 + FIELDS_ABOVE_64 + [
+    "F2^4/x^4+x^3+x^2+x+1",   # w has order 5, not 15
+    "F5^1/x+2"])              # a degree-1 extension
+def test_tables_match_log_antilog_construction(spec):
+    field = field_from_spec(spec)
+    t = FieldTables(field)
+    expected = log_antilog_tables(field)
+    for name in TABLES:
+        assert getattr(t, name) == expected[name], name
+    assert all(type(row) is list for name in ("add", "sub", "mul") for row in getattr(t, name))
+    assert (t.sub is t.add) == (field.characteristic() == 2)
 
 
 # ---------------------------------------------------------------------------

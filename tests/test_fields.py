@@ -301,3 +301,56 @@ def test_equal_moduli_give_one_field():
 def test_omega_input_accepted():
     f4 = field_from_spec("F4")
     assert f4.parse("ω+1") == f4.generator() + f4.one()
+
+
+@pytest.mark.parametrize("spec, s", [
+    ("F9", "--w"), ("F9", "-+w"), ("F9", "+-w"), ("F9", "++w"), ("F9", " - -w"),
+    ("F9", "w--1"), ("F2(X)", "--X"), ("F2(X)", "(X+1)/(-+X)")])
+def test_doubled_sign_is_refused(spec, s):
+    # a doubled leading sign used to read as its last sign: "--w" as -w
+    with pytest.raises(FieldError, match="malformed polynomial"):
+        field_from_spec(spec).parse(s)
+
+
+def test_doubled_sign_in_a_modulus_is_refused():
+    with pytest.raises(FieldError, match="malformed polynomial"):
+        field_from_spec("F3^2/--x^2+1")
+
+
+def test_single_leading_sign_parses():
+    f9 = field_from_spec("F9")
+    w = f9.generator()
+    assert f9.parse("-w") == -w and f9.parse(" - w") == -w
+    assert f9.parse("+w") == w
+    assert f9.parse("-w+1") == f9.one() - w
+    assert field_from_spec("F3^2/-x^2-1") is f9
+    assert field_from_spec("F2(X)").parse("-X") == field_from_spec("F2(X)").parse("X")
+
+
+def test_tables_are_built_without_polynomial_products(monkeypatch):
+    import endoclass.fields as fields
+    f = field_from_spec("F256")
+    calls = []
+    mul = fields._poly_mul
+
+    def counting_mul(*args):
+        calls.append(args)
+        return mul(*args)
+    monkeypatch.setattr(fields, "_poly_mul", counting_mul)
+    t = fields.FieldTables(f)
+    assert t.mul[2][3] == 6
+    assert len(calls) < 64
+
+
+def test_default_modulus_is_found_once_per_process(monkeypatch):
+    import endoclass.fields as fields
+    first = field_from_spec("F256")
+    calls = []
+    irreducible = fields._poly_is_irreducible
+
+    def counting_irreducible(*args):
+        calls.append(args)
+        return irreducible(*args)
+    monkeypatch.setattr(fields, "_poly_is_irreducible", counting_irreducible)
+    assert field_from_spec("F256") is first
+    assert calls == []
