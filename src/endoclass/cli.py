@@ -208,6 +208,21 @@ def cmd_table(args) -> int:
     return 0
 
 
+class _UsageError(Exception):
+    """argparse refused the command line; the usage text and error line
+    are already on stderr."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a refused command line as argparse does, then lets `main`
+    return 2 instead of exiting (subparsers inherit the class)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise _UsageError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on the first call and shared after it.
@@ -217,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     add arguments to the returned parser, since every later `main` call
     sees them.
     """
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="endoclass",
         description="classification toolkit for 2-dimensional endo-commutative straight algebras")
     parser.add_argument("--version", action="version", version=f"endoclass {__version__}")
@@ -262,8 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError:
+        return 2
     try:
         code = args.func(args)
         sys.stdout.flush()

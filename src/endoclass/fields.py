@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from . import gf2x
 
@@ -205,8 +205,7 @@ def _format_poly(coeffs, var: str) -> str:
 # descriptors and elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(NamedTuple):
     """Which field: kind plus (p, k, modulus) where applicable.
 
     The modulus is a monic degree-k coefficient tuple over F_p,

@@ -16,12 +16,16 @@ transformation matrix for the isomorphism.
 
 The search returns the lexicographically least witness in (x, y, z, w)
 element-code order, so results are reproducible.  When the target is
-an S-form, every witness rewrites the source on a basis {x, x^2}, so
-the search covers only the at most q^2 - 1 straight generators x of
-the source (`sform_orbit`): it rewrites one x per projective point and
-derives the q - 1 multiples of each by scaling.  Any other target falls
-back to enumerating all (q^2-1)(q^2-q) invertible matrices in
-lexicographic order.  Both run on integer codes.
+an S-form, every witness rewrites the source on a basis {x, x^2} for
+one of its at most q^2 - 1 straight generators x.  The source is
+rewritten once per projective point, q + 1 rewrites, and a multiple
+lam*x scales that rewrite's parameters by powers of lam.
+`sform_witness` decides one pair by solving for lam from the target's
+b or d, so each rewrite costs at most one scaling, or q - 1 in the rare
+case b = d = 0.  `sform_orbit` scales every rewrite by every lam, and
+builds the whole orbit that the isomorphism partition needs.  Any other
+target falls back to enumerating all (q^2-1)(q^2-q) invertible matrices
+in lexicographic order.  All of these run on integer codes.
 """
 
 from __future__ import annotations
@@ -255,6 +259,13 @@ def apply_transform_codes(t: FieldTables, L, A, x: int, y: int, z: int, w: int):
     return tuple(out)
 
 
+def _straight_bases(t: FieldTables, m):
+    """`straight_rewrite` of m at each projective point x in
+    {(1, v)} u {(0, 1)}, skipping the x with {x, x^2} dependent."""
+    points = [(1, v) for v in range(t.q)] + [(0, 1)]
+    return [r for r in (straight_rewrite(t, m, u, v) for u, v in points) if r is not None]
+
+
 def sform_orbit(t: FieldTables, m):
     """The S-forms isomorphic to the algebra with structure codes m.
 
@@ -272,8 +283,7 @@ def sform_orbit(t: FieldTables, m):
     """
     n, mul, inv = t.q, t.mul, t.inv
     own = m[2:] if m[:2] == (0, 1) else None
-    points = [(1, v) for v in range(n)] + [(0, 1)]
-    bases = [r for r in (straight_rewrite(t, m, u, v) for u, v in points) if r is not None]
+    bases = _straight_bases(t, m)
     least: dict[tuple, tuple[int, int, int, int]] = {}
     automorphisms = 0
     for lam in range(1, n):
@@ -292,15 +302,54 @@ def sform_orbit(t: FieldTables, m):
     return least, (n - 1) * len(bases), automorphisms
 
 
+def sform_witness(t: FieldTables, m, target):
+    """The lexicographically least X codes carrying the algebra with
+    structure codes m onto the S-form with (p, q, a, b, c, d) codes
+    `target`, or None: the entry of `sform_orbit(t, m)[0]` for target,
+    without building the rest of the orbit.
+
+    The multiple lam*x of a base lands on
+    S(lam^3 p, lam^2 q, lam^2 a, lam b, lam^2 c, lam d), so the only
+    candidate is lam = B/b when b != 0 and lam = D/d when d != 0.  A base
+    with b = d = 0 can reach target only if B = D = 0, and then every lam
+    is tried; such bases are rare, so a call costs O(q).
+    """
+    n, mul, inv = t.q, t.mul, t.inv
+    B, D = target[3], target[5]
+    best = None
+    for x, y, z, w, (p, q, a, b, c, d) in _straight_bases(t, m):
+        if b or d:
+            k, K = (b, B) if b else (d, D)
+            lams = (mul[K][inv[k]],) if K else ()
+        elif B or D:
+            continue
+        else:
+            lams = range(1, n)
+        for lam in lams:
+            m1 = mul[lam]
+            m2 = mul[m1[lam]]
+            if (mul[m2[lam]][p], m2[q], m2[a], m1[b], m2[c], m1[d]) == target:
+                i1 = mul[inv[lam]]
+                i2 = mul[i1[inv[lam]]]
+                X = (i1[x], i2[y], i1[z], i2[w])
+                if best is None or X < best:
+                    best = X
+    return best
+
+
 def are_isomorphic(A: StructureMatrix, A2: StructureMatrix):
-    """Lexicographically least X in GL2 carrying A onto A2, or None."""
+    """Lexicographically least X in GL2 carrying A onto A2, or None.
+
+    When A2 is an S-form the pair is decided by `sform_witness`: q + 1
+    rewrites of A and, for almost every rewrite, at most one scaling.
+    Any other A2 is searched for over all of GL2."""
     if A.field != A2.field:
         raise FieldMismatchError("can only compare algebras over one field")
     t = A.field.tables()
     src = A.codes()
     target = A2.codes()
     if target[:2] == (0, 1):
-        found = sform_orbit(t, src)[0].get(target[2:])
+        found = sform_witness(t, src, target[2:])
     else:
         found = next(((x, y, z, w) for x, y, z, w, L in gl2_lifted(A.field)
                       if apply_transform_codes(t, L, src, x, y, z, w) == target), None)

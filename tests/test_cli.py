@@ -321,32 +321,40 @@ def test_broken_pipe_in_process_leaves_no_descriptor(monkeypatch):
 
 
 def test_unknown_flag_rejected(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["verify", "--field", "F2", "--nonsense"])
-    assert info.value.code == 2
+    assert main(["verify", "--field", "F2", "--nonsense"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("endoclass: error: unrecognized arguments: --nonsense\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "classes"])
 def test_jobs_flag_is_an_unknown_argument(command, capsys):
     # --jobs never changed the output and has been removed
-    with pytest.raises(SystemExit) as info:
-        main([command, "--field", "F2", "--jobs", "2"])
-    assert info.value.code == 2
+    assert main([command, "--field", "F2", "--jobs", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert "unrecognized arguments: --jobs 2" in err
 
 
-def test_missing_subcommand_rejected():
-    with pytest.raises(SystemExit) as info:
-        main([])
-    assert info.value.code == 2
+def test_missing_subcommand_rejected(capsys):
+    assert main([]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: endoclass ")
+    assert "endoclass: error: the following arguments are required" in err
 
 
 def test_bad_jobs_rejected(capsys):
+    assert main(["verify", "--field", "F2", "--jobs", "0"]) == 2
+    assert "unrecognized arguments: --jobs 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["iso", "--help"], ["--version"]])
+def test_help_and_version_still_exit_0(capsys, argv):
     with pytest.raises(SystemExit) as info:
-        main(["verify", "--field", "F2", "--jobs", "0"])
-    assert info.value.code == 2
+        main(argv)
+    assert info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out and err == ""
 
 
 @pytest.mark.parametrize("command,option", [("iso", "--lhs"), ("table", "--algebra")])
@@ -380,10 +388,7 @@ def test_equiv_without_mode_is_usage_error(capsys):
 def test_equiv_conflicting_modes_are_usage_errors(capsys, argv):
     # a conflict between --reps and --test is argparse's; --degree-bound
     # without --test is refused by the command
-    try:
-        code = main(["equiv", *argv])
-    except SystemExit as exc:
-        code = exc.code
+    code = main(["equiv", *argv])
     out = capsys.readouterr()
     assert code == 2 and out.out == ""
     errors = [line for line in out.err.splitlines() if "error:" in line]

@@ -7,6 +7,8 @@
   log/antilog construction that built them one entry at a time.
 * The projective-point orbit derivation against the loop that rewrites
   every straight generator in full.
+* The one-target solve of `are_isomorphic` against the whole orbit
+  that `sform_orbit` builds.
 * The straight-generator orbit scans against the exhaustive per-seed
   orbit scan over all of GL2 in lexicographic order: for each member it
   keeps the first X that hits it, i.e. the lexicographically least
@@ -34,7 +36,7 @@ from endoclass.equiv import (RepSystem, UnsupportedRelation, _check_supported,
                              bounded_refutation_search, carrier_elements, rep_system)
 from endoclass.fields import (FieldTables, _poly_from_code, _poly_mod, _poly_mul, _poly_to_code,
                                _poly_trim)
-from endoclass.iso import apply_transform_codes, gl2_lifted, sform_orbit
+from endoclass.iso import apply_transform_codes, gl2_lifted, sform_orbit, sform_witness
 
 from common import random_element, tr
 
@@ -393,6 +395,29 @@ def test_are_isomorphic_falls_back_on_non_sform_targets():
     assert w is not None and w.codes() == gl2_first_witness(mats[0], positive)
     assert are_isomorphic(mats[0], negative) is None
     assert gl2_first_witness(mats[0], negative) is None
+
+
+@pytest.mark.parametrize("spec", [s for s in FIELDS_UP_TO_64 if field_from_spec(s).order() <= 27])
+def test_sform_witness_matches_sform_orbit(spec):
+    field = field_from_spec(spec)
+    t, q = field.tables(), field.order()
+    rng = random.Random(spec)
+    members = [sp.codes() for _, sp in theorem_families(field)]
+    # random 8-code sources, of which some have no straight generator
+    sources = [(0, 1) + m for m in members] + [tuple(rng.randrange(q) for _ in range(8))
+                                               for _ in range(8)]
+    b_d_zero_hits = 0
+    for src in sources:
+        orbit = sform_orbit(t, src)[0]
+        targets = members + rng.sample(sorted(orbit), min(8, len(orbit)))
+        targets += [tuple(rng.randrange(q) for _ in range(6)) for _ in range(4)]
+        for target in targets:
+            found = sform_witness(t, src, target)
+            assert found == orbit.get(target), (src, target)
+            b_d_zero_hits += found is not None and target[3] == target[5] == 0
+    # a b = d = 0 target (c = a in odd characteristic) is reached only
+    # from a base with b = d = 0, the case that tries every scalar
+    assert b_d_zero_hits
 
 
 # ---------------------------------------------------------------------------

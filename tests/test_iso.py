@@ -6,7 +6,8 @@ from endoclass import (FieldMismatchError, InfiniteFieldError, LiftedTransform,
                        SingularTransformError, SParams, Transform,
                        are_isomorphic, check_iso_system, field_from_spec,
                        is_endo_commutative_straight, lift, rank, transform,
-                       type_of)
+                       theorem_families, type_of)
+from endoclass import iso
 from endoclass.classify import enumerate_type_ii1, iso_classes
 from endoclass.iso import gl2_lifted, gl2_order
 
@@ -210,6 +211,25 @@ def test_are_isomorphic_positive_cross_check():
     dst = sp(F5, 0, 1, 1, 0, -1, 2).to_structure_matrix()
     w = are_isomorphic(src, dst)
     assert w is not None and transform(src, w) == dst
+
+
+def test_negative_pair_rewrites_once_per_projective_point(monkeypatch):
+    F31 = field_from_spec("F31")
+    (_, lhs), (_, rhs) = theorem_families(F31)[:2]
+    calls = {"straight_rewrite": 0, "sform_orbit": 0}
+
+    def counted(name):
+        original = getattr(iso, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+    for name in calls:
+        monkeypatch.setattr(iso, name, counted(name))
+    assert are_isomorphic(lhs.to_structure_matrix(), rhs.to_structure_matrix()) is None
+    assert 0 < calls["straight_rewrite"] <= 31 + 1
+    assert calls["sform_orbit"] == 0
 
 
 def test_are_isomorphic_infinite_field_rejected():
