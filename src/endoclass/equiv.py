@@ -68,17 +68,13 @@ def _check_carrier(rel: RelationId, field: Field, t: FieldElement) -> None:
         raise CarrierError("element does not belong to the given field")
     if not t:
         raise CarrierError(f"{rel.value} is a relation on nonzero elements")
-    if rel is RelationId.SIM5 and t == field.from_int(-4):
+    if rel is RelationId.SIM5 and t == -4:
         raise CarrierError("sim5 excludes -4 from its carrier")
 
 
 def carrier_elements(rel: RelationId, field: Field) -> list[FieldElement]:
     """The relation's carrier in enumeration order (finite fields)."""
-    out = [el for el in field.elements() if el]
-    if rel is RelationId.SIM5:
-        minus4 = field.from_int(-4)
-        out = [el for el in out if el != minus4]
-    return out
+    return [el for el in field.elements() if el and not (rel is RelationId.SIM5 and el == -4)]
 
 
 # ---------------------------------------------------------------------------
@@ -131,35 +127,37 @@ def _f2x_sim3_related(field, t, t2):
 # ---------------------------------------------------------------------------
 
 def related(rel: RelationId, field: Field, t: FieldElement, t2: FieldElement):
-    """Decide t ~ t', returning (bool, witness or None)."""
+    """Decide t ~ t', returning (bool, witness or None).  Over a finite
+    field: on codes, in one pass over them at most."""
     _check_supported(rel, field)
     _check_carrier(rel, field, t)
     _check_carrier(rel, field, t2)
+    if not field.is_finite:
+        if rel is RelationId.SIM1:
+            return is_square(field, t / t2)
+        if rel is RelationId.SIM5:
+            four = field.from_int(4)
+            return is_square(field, (t2 * (four + t)) / (t * (four + t2)))
+        return _f2x_sim3_related(field, t, t2)  # the one case left: sim3 over F2(X)
 
-    if rel is RelationId.SIM1:
-        return is_square(field, t / t2)
-
-    if rel is RelationId.SIM5:
-        four = field.from_int(4)
-        return is_square(field, (t2 * (four + t)) / (t * (four + t2)))
-
+    tables, t, t2 = field.tables(), t.payload, t2.payload
+    add, mul, inv = tables.add, tables.mul, tables.inv
+    if rel in (RelationId.SIM2, RelationId.SIM4):
+        target = add[t][t2] if rel is RelationId.SIM2 else add[inv[t]][inv[t2]]
+        for x, square in enumerate(tables.square):
+            if add[square][x] == target:
+                return True, field.element(x)
+        return False, None
+    if rel is RelationId.SIM5:  # t ~ t' iff t'(4+t) / (t(4+t')) is a square
+        four = field._from_int_payload(4)
+        t, t2 = mul[t2][add[four][t]], mul[t][add[four][t2]]
+    root = tables.square_root(mul[t][inv[t2]])
+    if root is None:
+        return False, None
     if rel is RelationId.SIM3:
-        if isinstance(field, RationalFunctionField2):
-            return _f2x_sim3_related(field, t, t2)
-        # finite characteristic 2: squaring is bijective, always related
-        ok, root = is_square(field, t / t2)
-        assert ok
-        return True, (root, field.zero())
-
-    # sim2 / sim4 over a finite field of characteristic 2
-    if rel is RelationId.SIM2:
-        target = t + t2
-    else:
-        target = t.inverse() + t2.inverse()
-    for x in field.elements():
-        if x * x + x == target:
-            return True, x
-    return False, None
+        # characteristic 2: squaring is bijective, so t/t' always has a root
+        return True, (field.element(root), field.zero())
+    return True, field.element(root)
 
 
 # ---------------------------------------------------------------------------
@@ -172,31 +170,36 @@ class RepSystem:
 
     `representatives` holds exactly one element per equivalence class,
     chosen greedily in enumeration order.  For finite fields the full
-    class map is materialized; for F2(X)/sim3 it is rule-backed.
+    class map is materialized, from each carrier code to the code of its
+    representative; for F2(X)/sim3 it is rule-backed.
     """
 
     relation: RelationId
     field: Field
     representatives: tuple[FieldElement, ...]
-    _assign: Optional[dict] = dc_field(default=None, repr=False)
+    _assign: Optional[dict[int, int]] = dc_field(default=None, repr=False)
     _rule: Optional[Callable] = dc_field(default=None, repr=False)
 
     def representative_of(self, t: FieldElement) -> FieldElement:
         if self._assign is not None:
-            try:
-                return self._assign[t]
-            except KeyError:
-                raise CarrierError(f"{t} is not in the carrier") from None
+            rep = self._assign.get(t.payload) if t.field == self.field else None
+            if rep is None:
+                raise CarrierError(f"{t} is not in the carrier")
+            return self.field.element(rep)
         if not t:
             raise CarrierError("0 is not in the carrier")
         return self._rule(t)
 
     def classes(self) -> dict[FieldElement, list[FieldElement]]:
+        return self._classes(self.field.element)
+
+    def _classes(self, decode) -> dict:
+        """Each representative's class in enumeration order, decoded."""
         if self._assign is None:
             raise InfiniteFieldError("class lists exist only over finite fields")
-        out = {rep: [] for rep in self.representatives}
-        for el, rep in self._assign.items():
-            out[rep].append(el)
+        out = {decode(rep.payload): [] for rep in self.representatives}
+        for code, rep in self._assign.items():
+            out[decode(rep)].append(decode(code))
         return out
 
     def to_json(self) -> dict:
@@ -205,38 +208,36 @@ class RepSystem:
                "field": self.field.spec_string(),
                "representatives": [fmt(r) for r in self.representatives]}
         if self._assign is not None:
-            obj["classes"] = {fmt(rep): [fmt(el) for el in members]
-                              for rep, members in self.classes().items()}
+            obj["classes"] = self._classes(self.field.element_strings().__getitem__)
         return obj
 
 
-def _class_test(rel: RelationId, field: Field, elements):
-    """(image, key) with t ~ t' iff key(t, t') in image, over a finite field.
-
-    The image is built in one pass: the nonzero squares for sim1, sim3
-    and sim5, the values x^2 + x for sim2 and sim4.  With r the
-    representative, the sim2 and sim4 keys are the quantities `related`
-    tests.  The sim1/sim3 key r*t and the sim5 key r(4+r)t(4+t) are
-    `related`'s r/t and t(4+r)/(r(4+t)) times a nonzero square, t^2 or
-    (r(4+t))^2, so they give the same answer without a division.
+def _class_test(rel: RelationId, field: Field):
+    """(op, g, image) with r ~ t iff op[g[r]][g[t]] is in image, on the
+    codes of a finite field.  The image, built in one pass, holds the
+    nonzero squares (sim1, sim3, sim5) or the values x^2 + x (sim2, sim4).
+    The keys r + t (sim2) and 1/r + 1/t (sim4) are what `related` tests;
+    r*t (sim1, sim3) and r(4+r)t(4+t) (sim5) are its r/t and
+    t(4+r)/(r(4+t)) times a nonzero square, t^2 or (r(4+t))^2.
     """
+    tables = field.tables()
+    add, mul, codes = tables.add, tables.mul, range(tables.q)
     if rel in (RelationId.SIM2, RelationId.SIM4):
-        image = {x * x + x for x in elements}
-        if rel is RelationId.SIM2:
-            return image, lambda r, t: r + t
-        return image, lambda r, t: r.inverse() + t.inverse()
-    image = {x * x for x in elements if x}
+        image = {add[square][x] for x, square in enumerate(tables.square)}
+        return add, (codes if rel is RelationId.SIM2 else tables.inv), image
+    image = set(tables.square[1:])
     if rel is RelationId.SIM5:
-        four = field.from_int(4)
-        return image, lambda r, t: r * (four + r) * t * (four + t)
-    return image, lambda r, t: r * t
+        four = field._from_int_payload(4)
+        return mul, [mul[x][add[four][x]] for x in codes], image
+    return mul, codes, image
 
 
 def rep_system(rel: RelationId, field: Field) -> RepSystem:
     """Greedy partition of the carrier in enumeration order.
 
     Each element joins the first representative it is related to, or
-    becomes a representative itself; each test is one set lookup.
+    becomes a representative itself; each test is one set lookup, so a
+    field costs O(q·classes) lookups.
     """
     _check_supported(rel, field)
     if isinstance(field, RationalFunctionField2):
@@ -247,18 +248,22 @@ def rep_system(rel: RelationId, field: Field) -> RepSystem:
         gen_x = field.element((2, 1))
         return RepSystem(rel, field, (one, gen_x),
                          _rule=lambda t: gen_x if _f2x_sim3_is_x_class(t) else one)
-    image, key = _class_test(rel, field, field.elements())
-    reps: list[FieldElement] = []
-    assign: dict = {}
-    for el in carrier_elements(rel, field):
-        for rep in reps:
-            if key(rep, el) in image:
-                assign[el] = rep
+    op, g, image = _class_test(rel, field)
+    # the carrier is every nonzero code but that of -4 under sim5
+    excluded = field._from_int_payload(-4) if rel is RelationId.SIM5 else 0
+    reps, assign = [], {}  # reps: (code, its row of op)
+    for code in range(1, field.order()):
+        if code == excluded:
+            continue
+        key = g[code]
+        for rep, row in reps:
+            if row[key] in image:
+                assign[code] = rep
                 break
         else:
-            reps.append(el)
-            assign[el] = el
-    return RepSystem(rel, field, tuple(reps), _assign=assign)
+            reps.append((code, op[key]))
+            assign[code] = code
+    return RepSystem(rel, field, tuple(field.element(rep) for rep, _ in reps), _assign=assign)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ is zero, code 1 is one, and the rest follow in lexicographic
 coefficient order.  All arithmetic on codes is lookup in one set of
 dense tables per field (`FieldTables`), which both the hot loops
 (exhaustive scans, orbit searches) and the `FieldElement` layer use.
-Coefficients appear only where the tables are built, where a
-polynomial is parsed and where an element is printed.  `field_make`
-interns its handles, so the tables of a field are built once per
-process.
+Coefficients appear only where the tables are built and where a
+polynomial is parsed; elements print from one string table per field.
+`field_make` interns its handles, so the tables of a field are built
+once per process.
 
 Field spec strings: "F5", "F2^2/x^2+x+1", "Q", "F2(X)".  Prime-power
 shorthands like "F4", "F8", "F9" pick the first irreducible modulus in
@@ -80,17 +80,6 @@ def _poly_trim(c: list[int]) -> tuple[int, ...]:
     while c and c[-1] == 0:
         c.pop()
     return tuple(c)
-
-
-def _poly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
 
 
 def _poly_mod(a, b, p):
@@ -423,11 +412,11 @@ class FieldTables:
     row a is row a - e gathered through row e.  In characteristic 2
     `sub` is `add`.  Multiplication goes through the code-first
     primitive element g: row g^(i+1) is row g^i gathered through row g,
-    and 1/g^i = g^(-i).  The finished rows are lists of ints, which
-    Python indexes faster than bytes.
+    1/g^i = g^(-i) and (g^i)^2 = g^(2i).  The finished rows are lists of
+    ints, which Python indexes faster than bytes.
     """
 
-    __slots__ = ("q", "p", "add", "sub", "mul", "neg", "inv")
+    __slots__ = ("q", "p", "add", "sub", "mul", "neg", "inv", "square")
 
     def __init__(self, field: "FiniteFieldBase"):
         q = self.q = field.order()
@@ -454,12 +443,18 @@ class FieldTables:
 
         exp, times_g = _powers_of_primitive(field, self.add)
         by_g = bytes(times_g) + ident[q:]
-        mul, row, inv = [[0] * q] + [None] * (q - 1), ident, [None] * q
+        mul, row, inv, square = [[0] * q] + [None] * (q - 1), ident, [None] * q, [0] * q
         for i, c in enumerate(exp):
             mul[c] = list(row[:q])
-            inv[c] = exp[-i % (q - 1)]
+            inv[c], square[c] = exp[-i % (q - 1)], exp[2 * i % (q - 1)]
             row = by_g.translate(row)
-        self.mul, self.inv = mul, inv
+        self.mul, self.inv, self.square = mul, inv, bytes(square)
+
+    def square_root(self, c: int) -> int | None:
+        """The enumeration-first s with s·s = c, or None: one C-level search of
+        the `mul` diagonal, kept as bytes (in characteristic 2 s is unique)."""
+        s = self.square.find(c)
+        return s if s >= 0 else None
 
 
 def _powers_of_primitive(field: "FiniteFieldBase",
@@ -494,14 +489,15 @@ def _powers_of_primitive(field: "FiniteFieldBase",
 class FiniteFieldBase(Field):
     """F_p[x]/(modulus) for F_p and F_{p^k}; payloads are element codes.
 
-    Every operation on codes is one lookup in `tables()`, built on first
-    use.
+    Every operation on codes is one lookup in `tables()`, and printing
+    one in `element_strings()`, each built on first use.
     """
 
     def __init__(self, descriptor: FieldDescriptor, p: int, k: int, modulus: tuple[int, ...]):
         self.descriptor = descriptor
         self.p, self.k, self.modulus = p, k, modulus
         self._tables: FieldTables | None = None
+        self._strings: list[str] | None = None
 
     def order(self) -> int:
         return self.p**self.k
@@ -513,6 +509,21 @@ class FiniteFieldBase(Field):
         if self._tables is None:
             self._tables = FieldTables(self)
         return self._tables
+
+    def element_strings(self) -> list[str]:
+        """The printed form of every element, indexed by code.  Code c
+        with top digit d at place j prints as the term d·w^j, then "+"
+        and the string of the lower code c - d·p^j when that is not 0."""
+        if self._strings is None:
+            self._strings = strings = [str(c) for c in range(self.p)]
+            for j in range(1, self.k):
+                w, lower = ("w" if j == 1 else f"w^{j}"), strings[1:]
+                for term in [w] + [f"{d}{w}" for d in range(2, self.p)]:
+                    strings += [term] + [f"{term}+{s}" for s in lower]
+        return self._strings
+
+    def format(self, el):
+        return self.element_strings()[el.payload]
 
     def _from_int_payload(self, n):
         return n % self.p
@@ -561,9 +572,6 @@ class PrimeField(FiniteFieldBase):
         except ValueError:
             raise FieldError(f"cannot parse {s!r} as an element of {self.spec_string()}") from None
 
-    def format(self, el):
-        return str(el.payload)
-
 
 class ExtensionField(FiniteFieldBase):
     """F_{p^k} as F_p[w]/(modulus), printed as polynomials in w."""
@@ -583,9 +591,6 @@ class ExtensionField(FiniteFieldBase):
         if len(coeffs) > self.k:
             coeffs = _poly_mod(coeffs, self.modulus, self.p)
         return self.element(_poly_to_code(coeffs, self.p))
-
-    def format(self, el):
-        return _format_poly(_poly_from_code(el.payload, self.p, self.k), "w")
 
 
 class RationalField(Field):
@@ -720,15 +725,19 @@ class RationalFunctionField2(Field):
 # construction and module-level operations
 # ---------------------------------------------------------------------------
 
+# the first monic irreducible modulus in code order of each shorthand F{p^k}
+_DEFAULT_MODULI = {
+    (2, 2): "x^2+x+1", (2, 3): "x^3+x+1", (2, 4): "x^4+x+1", (2, 5): "x^5+x^2+1",
+    (2, 6): "x^6+x+1", (2, 7): "x^7+x+1", (2, 8): "x^8+x^4+x^3+x+1",
+    (3, 2): "x^2+1", (3, 3): "x^3+2x+1", (3, 4): "x^4+x+2", (3, 5): "x^5+2x+1",
+    (5, 2): "x^2+2", (5, 3): "x^3+x+1", (7, 2): "x^2+1", (11, 2): "x^2+1", (13, 2): "x^2+2",
+}
+
+
 @functools.cache
 def default_modulus(p: int, k: int) -> tuple[int, ...]:
-    """First monic irreducible degree-k modulus in code order (found once
-    per process)."""
-    for code in range(p**k):
-        cand = _poly_from_code(code, p, k) + (1,)
-        if _poly_is_irreducible(cand, p):
-            return cand
-    raise FieldError(f"no irreducible modulus of degree {k} over F{p}")  # pragma: no cover
+    """The modulus of the shorthand F{p^k}, for k >= 2 and p^k <= 256."""
+    return _parse_poly(_DEFAULT_MODULI[p, k], p)
 
 
 @functools.cache
@@ -835,9 +844,9 @@ def enumerate_elements(field: Field) -> list[FieldElement]:
 def is_square(field: Field, t: FieldElement) -> tuple[bool, FieldElement | None]:
     """Decide t in (K)^2, with a witness s (s*s = t) when it is.
 
-    Finite fields of odd characteristic use the (q-1)/2 power test and
-    return the enumeration-first root; characteristic 2 is always a yes
-    (squaring is bijective) with the root obtained by repeated squaring.
+    Finite fields scan the diagonal of the `mul` table once and return
+    the enumeration-first root (in characteristic 2, where squaring is
+    bijective, the only one).
     Over Q a positive reduced fraction is a square iff its numerator
     and denominator are perfect squares, decided exactly by integer
     square roots for any size.  Over F2(X) both parts must be squares.
@@ -845,22 +854,8 @@ def is_square(field: Field, t: FieldElement) -> tuple[bool, FieldElement | None]
     if t.field != field:
         raise FieldMismatchError("element does not belong to the given field")
     if field.is_finite:
-        q = field.order()
-        if t.is_zero():
-            return True, field.zero()
-        if field.characteristic() == 2:
-            s = t
-            k = q.bit_length() - 1  # q = 2^k
-            for _ in range(k - 1):
-                s = s * s
-            return True, s
-        if t ** ((q - 1) // 2) != field.one():
-            return False, None
-        for code in range(q):
-            s = field.element_of_code(code)
-            if s * s == t:
-                return True, s
-        raise AssertionError("power test promised a root")  # pragma: no cover
+        root = field.tables().square_root(t.payload)
+        return (False, None) if root is None else (True, field.element(root))
     if isinstance(field, RationalField):
         fr: Fraction = t.payload
         if fr == 0:

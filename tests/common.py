@@ -40,6 +40,20 @@ def random_element(field, rng):
     return field.element_of_code(rng.randrange(field.order()))
 
 
+def poly_mul(a, b, p):
+    """The product of two little-endian coefficient tuples over F_p."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
 class ScanStarted(Exception):
     """Raised at the first tuple a scan visits under `forbid_scan`."""
 

@@ -17,6 +17,9 @@
   inverts lift(X) by elimination.
 * The lookup-based representative systems against the pairwise greedy
   partition that calls `related` for every unassigned element.
+* `is_square`, `related` and `rep_system(...).to_json()` on codes
+  against the same decisions in FieldElement arithmetic, with elements
+  printed from coefficient tuples.
 * The linear-solve bounded F2(X) search against the double loop over
   all numerators and denominators within the bound.
 """
@@ -28,17 +31,17 @@ import random
 import pytest
 
 from endoclass import (RelationId, Transform, are_isomorphic, field_from_spec, gf2x,
-                       is_curled, lift, related, theorem_families, transform)
+                       is_curled, is_square, lift, related, theorem_families, transform)
 from endoclass.algebra import (_TYPE_BY_PATTERN, StructureMatrix, _ec_straight_codes,
                                straight_generators)
 from endoclass.classify import _TYPE_ALIASES, enumerate_type, enumerate_type_ii1, iso_classes
 from endoclass.equiv import (RepSystem, UnsupportedRelation, _check_supported,
                              bounded_refutation_search, carrier_elements, rep_system)
-from endoclass.fields import (FieldTables, _poly_from_code, _poly_mod, _poly_mul, _poly_to_code,
-                               _poly_trim)
+from endoclass.fields import (FieldTables, _format_poly, _poly_from_code, _poly_mod,
+                              _poly_to_code, _poly_trim)
 from endoclass.iso import apply_transform_codes, gl2_lifted, sform_orbit, sform_witness
 
-from common import random_element, tr
+from common import poly_mul, random_element, tr
 
 SMALL_FIELDS = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16", "F17"]
 FIELDS_UP_TO_64 = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16", "F17",
@@ -128,7 +131,7 @@ def polynomial_ops(field):
     enc = lambda coeffs: sum(c * p**i for i, c in enumerate(coeffs))
     return {"add": lambda a, b: enc((x + y) % p for x, y in zip(dec(a), dec(b))),
             "sub": lambda a, b: enc((x - y) % p for x, y in zip(dec(a), dec(b))),
-            "mul": lambda a, b: enc(_poly_mod(_poly_mul(dec(a), dec(b), p), m, p)),
+            "mul": lambda a, b: enc(_poly_mod(poly_mul(dec(a), dec(b), p), m, p)),
             "neg": lambda a: enc(-x % p for x in dec(a))}
 
 
@@ -202,7 +205,7 @@ def log_antilog_tables(field):
         exp, x = [1], gp
         while x != (1,) and len(exp) < q - 1:
             exp.append(_poly_to_code(x, p))
-            x = _poly_mod(_poly_mul(x, gp, p), m, p)
+            x = _poly_mod(poly_mul(x, gp, p), m, p)
         if x == (1,) and len(exp) == q - 1:
             break
     log = [0] * q
@@ -227,6 +230,7 @@ def test_tables_match_log_antilog_construction(spec):
         assert getattr(t, name) == expected[name], name
     assert all(type(row) is list for name in ("add", "sub", "mul") for row in getattr(t, name))
     assert (t.sub is t.add) == (field.characteristic() == 2)
+    assert list(t.square) == [row[c] for c, row in enumerate(expected["mul"])]
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +489,8 @@ def pairwise_rep_system(rel, field):
         for other in todo:
             if other not in assign and related(rel, field, el, other)[0]:
                 assign[other] = el
-    return RepSystem(rel, field, tuple(reps), _assign=assign)
+    return RepSystem(rel, field, tuple(reps),
+                     _assign={el.payload: rep.payload for el, rep in assign.items()})
 
 
 @pytest.mark.parametrize("spec", FIELDS_UP_TO_64)
@@ -502,6 +507,105 @@ def test_rep_system_matches_pairwise_partition(spec):
         assert rep_system(rel, field).to_json() == expected
         checked += 1
     assert checked == (4 if field.characteristic() == 2 else 2)
+
+
+# ---------------------------------------------------------------------------
+# square roots, relations and representative systems on codes
+# ---------------------------------------------------------------------------
+
+def element_is_square(field, t):
+    """`is_square` on a finite field through FieldElement arithmetic: the
+    (q-1)/2 power test and the enumeration-first root in odd
+    characteristic, repeated squaring in characteristic 2."""
+    q = field.order()
+    if not t:
+        return True, field.zero()
+    if field.characteristic() == 2:
+        s = t
+        for _ in range(q.bit_length() - 2):  # q = 2^k: k - 1 squarings
+            s = s * s
+        return True, s
+    if t ** ((q - 1) // 2) != field.one():
+        return False, None
+    return True, next(s for s in field.elements() if s * s == t)
+
+
+def element_related(rel, field, t, t2):
+    """`related` on a finite field through FieldElement arithmetic."""
+    if rel is RelationId.SIM1:
+        return element_is_square(field, t / t2)
+    if rel is RelationId.SIM5:
+        four = field.from_int(4)
+        return element_is_square(field, (t2 * (four + t)) / (t * (four + t2)))
+    if rel is RelationId.SIM3:
+        return True, (element_is_square(field, t / t2)[1], field.zero())
+    target = t + t2 if rel is RelationId.SIM2 else t.inverse() + t2.inverse()
+    x = next((x for x in field.elements() if x * x + x == target), None)
+    return x is not None, x
+
+
+def element_rep_system_json(rel, field):
+    """`rep_system(rel, field).to_json()` from the greedy partition on
+    FieldElements, with every element printed by `_format_poly`."""
+    if rel in (RelationId.SIM2, RelationId.SIM4):
+        image = {x * x + x for x in field.elements()}
+        key = (lambda r, t: r + t) if rel is RelationId.SIM2 else (
+            lambda r, t: r.inverse() + t.inverse())
+    else:
+        image = {x * x for x in field.elements() if x}
+        four = field.from_int(4)
+        key = (lambda r, t: r * (four + r) * t * (four + t)) if rel is RelationId.SIM5 else (
+            lambda r, t: r * t)
+    classes = {}
+    for el in carrier_elements(rel, field):
+        rep = next((r for r in classes if key(r, el) in image), el)
+        classes.setdefault(rep, []).append(el)
+    fmt = lambda el: _format_poly(_poly_from_code(el.payload, field.p, field.k), "w")
+    return {"relation": rel.value, "field": field.spec_string(),
+            "representatives": [fmt(r) for r in classes],
+            "classes": {fmt(r): [fmt(el) for el in members] for r, members in classes.items()}}
+
+
+def supported_relations(field):
+    if field.characteristic() == 2:
+        return [RelationId.SIM1, RelationId.SIM2, RelationId.SIM3, RelationId.SIM4]
+    return [RelationId.SIM1, RelationId.SIM5]
+
+
+@pytest.mark.parametrize("spec", FIELDS_UP_TO_64)
+def test_is_square_matches_element_arithmetic(spec):
+    field = field_from_spec(spec)
+    roots = 0
+    for t in field.elements():
+        expected = element_is_square(field, t)
+        assert is_square(field, t) == expected
+        roots += expected[0]
+    q = field.order()
+    assert roots == (q if q % 2 == 0 else (q + 1) // 2)
+
+
+@pytest.mark.parametrize("spec", FIELDS_UP_TO_64)
+def test_related_matches_element_arithmetic(spec):
+    # every pair of the carrier for sim2 and sim4, whose witnesses come
+    # from a scan of the codes; a seeded sample of pairs for the others,
+    # whose witnesses are is_square's
+    field = field_from_spec(spec)
+    rng = random.Random(f"related:{spec}")
+    for rel in supported_relations(field):
+        carrier = carrier_elements(rel, field)
+        if rel in (RelationId.SIM2, RelationId.SIM4):
+            pairs = itertools.product(carrier, repeat=2)
+        else:
+            pairs = [(rng.choice(carrier), rng.choice(carrier)) for _ in range(200)]
+        for t, t2 in pairs:
+            assert related(rel, field, t, t2) == element_related(rel, field, t, t2)
+
+
+@pytest.mark.parametrize("spec", ["F128", "F243", "F256"])
+def test_rep_system_json_matches_element_arithmetic(spec):
+    field = field_from_spec(spec)
+    for rel in supported_relations(field):
+        assert rep_system(rel, field).to_json() == element_rep_system_json(rel, field)
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,17 @@ def test_rep_system_invariants_reverified():
                 assert hits == [rs.representative_of(t)]
 
 
+def test_representative_of_refuses_what_is_outside_the_carrier():
+    rs = rep_system(RelationId.SIM5, F7)
+    assert rs.representative_of(F7.from_int(1)) == F7.one()
+    # 0, -4 = 3 under sim5, and elements of other fields whose codes or
+    # values lie in F7's carrier
+    for t in (F7.zero(), F7.from_int(-4), F5.one(), F9.one(), F13.from_int(2),
+              Q.one(), Q.from_int(2)):
+        with pytest.raises(CarrierError):
+            rs.representative_of(t)
+
+
 def test_sim1_class_count_pattern():
     for field in (F3, F5, F7, F9, F13):
         assert len(rep_system(RelationId.SIM1, field).representatives) == 2

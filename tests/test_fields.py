@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,8 +9,16 @@ import pytest
 from endoclass import (FieldDescriptor, FieldError, FieldMismatchError,
                        InfiniteFieldError, enumerate_elements,
                        field_from_spec, field_make, is_square)
+from endoclass.fields import (MAX_ORDER, MAX_PRIME, _format_poly, _is_prime,
+                              _poly_from_code, _poly_is_irreducible, default_modulus)
 
-from common import el
+from common import el, poly_mul
+
+PRIMES = [p for p in range(2, MAX_PRIME + 1) if _is_prime(p)]
+# the (p, k) of every prime-power shorthand, F4 to F256
+SHORTHANDS = [(p, k) for p in PRIMES for k in range(2, 9) if p**k <= MAX_ORDER]
+# every finite field by its shorthand, F2 to F256
+SHORTHAND_SPECS = [f"F{n}" for n in sorted(PRIMES + [p**k for p, k in SHORTHANDS])]
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +339,21 @@ def test_single_leading_sign_parses():
 
 
 def test_tables_are_built_without_polynomial_products(monkeypatch):
+    # the package multiplies no polynomials at all, and the table build
+    # reduces none either
     import endoclass.fields as fields
+    assert not hasattr(fields, "_poly_mul")
     f = field_from_spec("F256")
     calls = []
-    mul = fields._poly_mul
+    mod = fields._poly_mod
 
-    def counting_mul(*args):
+    def counting_mod(*args):
         calls.append(args)
-        return mul(*args)
-    monkeypatch.setattr(fields, "_poly_mul", counting_mul)
+        return mod(*args)
+    monkeypatch.setattr(fields, "_poly_mod", counting_mod)
     t = fields.FieldTables(f)
     assert t.mul[2][3] == 6
-    assert len(calls) < 64
+    assert calls == []
 
 
 def test_default_modulus_is_found_once_per_process(monkeypatch):
@@ -354,3 +368,54 @@ def test_default_modulus_is_found_once_per_process(monkeypatch):
     monkeypatch.setattr(fields, "_poly_is_irreducible", counting_irreducible)
     assert field_from_spec("F256") is first
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# default moduli and element strings
+# ---------------------------------------------------------------------------
+
+def first_irreducible_modulus(p, k):
+    """The first monic degree-k polynomial over F_p, in code order, that
+    is no product of two monic factors of lower degree."""
+    monic = lambda d: [_poly_from_code(c, p, d) + (1,) for c in range(p**d)]
+    reducible = {poly_mul(a, b, p)
+                 for d in range(1, k // 2 + 1) for a in monic(d) for b in monic(k - d)}
+    return next(m for m in monic(k) if m not in reducible)
+
+
+def test_default_moduli_are_the_first_irreducible_in_code_order():
+    assert len(SHORTHANDS) == 16
+    for p, k in SHORTHANDS:
+        modulus = first_irreducible_modulus(p, k)
+        assert default_modulus(p, k) == modulus
+        assert _poly_is_irreducible(modulus, p)
+        assert field_from_spec(f"F{p**k}").modulus == modulus
+    assert _format_poly(default_modulus(2, 8), "x") == "x^8+x^4+x^3+x+1"
+
+
+def test_first_use_of_a_shorthand_checks_its_modulus_once():
+    # a fresh interpreter: no search for the modulus, and field_make's
+    # irreducibility check runs once on the one it is given
+    code = ("import endoclass.fields as f\n"
+            "calls = []\n"
+            "check = f._poly_is_irreducible\n"
+            "f._poly_is_irreducible = lambda m, p: calls.append(m) or check(m, p)\n"
+            "f.field_from_spec('F256'); f.field_from_spec('F243')\n"
+            "print(len(calls))\n")
+    import endoclass.fields as fields
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fields.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (out.returncode, out.stdout) == (0, "2\n"), out.stderr
+
+
+@pytest.mark.parametrize("spec", SHORTHAND_SPECS + ["F2^4/x^4+x^3+x^2+x+1", "F5^1/x+2"])
+def test_element_strings_match_polynomial_printing(spec):
+    f = field_from_spec(spec)
+    strings = f.element_strings()
+    assert len(strings) == f.order()
+    for code, text in enumerate(strings):
+        e = f.element_of_code(code)
+        assert text == _format_poly(_poly_from_code(code, f.p, f.k), "w")
+        assert f.format(e) == text and str(e) == text
+        assert f.parse(f.format(e)) == e
