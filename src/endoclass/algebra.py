@@ -309,42 +309,42 @@ def straight_rewrite(t: FieldTables, m: tuple[int, ...], u: int, v: int):
             (p_, q_, a_, b_, c_, d_))
 
 
-def straight_generators(t: FieldTables, m: tuple[int, ...]):
-    """Every change of basis that carries the algebra with structure codes
-    m onto a straight normal form, as the `straight_rewrite` codes
-    (x, y, z, w, params).
+def straight_bases(t: FieldTables, m: tuple[int, ...]):
+    """The `straight_rewrite` codes (x, y, z, w, params) of the algebra
+    with structure codes m, one per line through 0 on which {x, x^2} is
+    a basis: x = u e + v f for (u, v) = (1, 0), (0, 1), then (u, 1) for
+    u = 1 .. q-1.
 
-    One candidate per nonzero element x = u e + v f (e-coefficient
-    cycling fastest) with {x, x^2} independent, rewritten on the basis
-    {x, x^2}.  A transform onto an S-form is fixed by where it sends the
-    new e, so each such X in GL2 arises exactly once: at most q^2 - 1
-    candidates instead of the (q^2-1)(q^2-q) elements of GL2.
+    Whether x works depends only on its line, and a multiple lam*x
+    rewrites m onto S(lam^3 p, lam^2 q, lam^2 a, lam b, lam^2 c, lam d)
+    by X diag(1/lam, 1/lam^2), so these at most q + 1 rewrites carry
+    every straight generator.  Each point is the first of its line in
+    the order (u, v) with u cycling fastest.
     """
-    for v in range(t.q):
-        for u in range(t.q):
-            rewritten = straight_rewrite(t, m, u, v)
-            if rewritten is not None:
-                yield rewritten
+    for u, v in [(1, 0), (0, 1)] + [(u, 1) for u in range(1, t.q)]:
+        rewritten = straight_rewrite(t, m, u, v)
+        if rewritten is not None:
+            yield rewritten
 
 
 def is_curled(A: StructureMatrix) -> bool:
     """True iff x^2 lies in the span of x for every element x, that is,
-    iff no x gives a straight basis {x, x^2}."""
-    return next(straight_generators(A.field.tables(), A.codes()), None) is None
+    iff no x gives a straight basis {x, x^2}: at most q + 1 rewrites."""
+    return next(straight_bases(A.field.tables(), A.codes()), None) is None
 
 
 def to_straight_form(A: StructureMatrix):
     """Straight normal form of A: (SParams, basis-change Transform), or
     None when A is curled.
 
-    Takes the first candidate of `straight_generators`.  The returned
-    transform X satisfies transform(A, X) == params.to_structure_matrix().
+    Takes the first of `straight_bases`: the first straight x among
+    e, f, e+f, 2e+f, ....  The returned transform X satisfies
+    transform(A, X) == params.to_structure_matrix().
     """
     from .iso import Transform
 
-    t = A.field.tables()
     dec = A.field.element_of_code
-    for x, y, z, w, params in straight_generators(t, A.codes()):
+    for x, y, z, w, params in straight_bases(A.field.tables(), A.codes()):
         return (SParams.from_codes(A.field, params),
                 Transform(dec(x), dec(y), dec(z), dec(w)))
     return None

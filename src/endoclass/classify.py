@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .algebra import (SParams, _TYPE_BY_PATTERN, _ec_straight_codes, _ii1_stratum,
-                      is_endo_commutative_straight, type_of, AlgebraType)
+                      is_endo_commutative_straight, AlgebraType)
 from .equiv import RelationId, rep_system
 from .fields import Field, FieldElement
 from .iso import Transform, sform_orbit
@@ -391,7 +391,7 @@ def verify_classification(field: Field) -> ClassificationReport:
     for label, sp in predicted:
         if not is_endo_commutative_straight(sp):
             failures.append(f"predicted {label} = {sp} is not endo-commutative")
-        elif type_of(sp) is not AlgebraType.II_1:
+        elif _TYPE_BY_PATTERN[(bool(sp.p), bool(sp.a), bool(sp.c))] is not AlgebraType.II_1:
             failures.append(f"predicted {label} = {sp} is not of type II1")
 
     classes = iso_classes(scan)

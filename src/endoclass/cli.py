@@ -68,13 +68,13 @@ def cmd_fields(args) -> int:
     if desc.k is not None:
         obj["k"] = desc.k
     if field.is_finite:
-        obj["elements"] = [field.format(el) for el in field.elements()]
+        obj["elements"] = field.element_strings()
     if args.format == "json":
         _emit_json(obj)
     elif args.format == "tsv":
         if field.is_finite:
-            for code, el in enumerate(field.elements()):
-                print(f"{code}\t{field.format(el)}")
+            for code, text in enumerate(obj["elements"]):
+                print(f"{code}\t{text}")
         else:
             print(f"{obj['spec']}\tinfinite")
     else:

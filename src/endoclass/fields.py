@@ -824,15 +824,11 @@ def field_from_spec(s: str) -> Field:
         raise FieldError(f"modulus given without an extension degree in {s!r}")
     if _is_prime(n):
         return field_make(FieldDescriptor.prime(n))
-    # prime-power shorthand: F4, F8, F9, ...
-    for p in range(2, isqrt(n) + 1):
-        if _is_prime(p):
-            k, m_ = 0, n
-            while m_ % p == 0:
-                m_ //= p
-                k += 1
-            if m_ == 1 and k >= 2:
-                return field_make(FieldDescriptor.extension(p, k, default_modulus(p, k)))
+    # prime-power shorthand F4, F8, F9, ...: the keys of _DEFAULT_MODULI
+    # are exactly the p^k <= MAX_ORDER with k >= 2
+    for p, k in _DEFAULT_MODULI:
+        if p**k == n:
+            return field_make(FieldDescriptor.extension(p, k, default_modulus(p, k)))
     raise FieldError(f"{n} is neither prime nor a prime power")
 
 

@@ -18,8 +18,9 @@ The search returns the lexicographically least witness in (x, y, z, w)
 element-code order, so results are reproducible.  When the target is
 an S-form, every witness rewrites the source on a basis {x, x^2} for
 one of its at most q^2 - 1 straight generators x.  The source is
-rewritten once per projective point, q + 1 rewrites, and a multiple
-lam*x scales that rewrite's parameters by powers of lam.
+rewritten once per line through 0 by `algebra.straight_bases`, q + 1
+rewrites, and a multiple lam*x scales that rewrite's parameters by
+powers of lam.
 `sform_witness` decides one pair by solving for lam from the target's
 b or d, so each rewrite costs at most one scaling, or q - 1 in the rare
 case b = d = 0.  `sform_orbit` scales every rewrite by every lam, and
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import SParams, StructureMatrix, _gauss_jordan, straight_rewrite
+from .algebra import SParams, StructureMatrix, _gauss_jordan, straight_bases
 from .fields import Field, FieldElement, FieldMismatchError, FieldTables
 
 
@@ -259,13 +260,6 @@ def apply_transform_codes(t: FieldTables, L, A, x: int, y: int, z: int, w: int):
     return tuple(out)
 
 
-def _straight_bases(t: FieldTables, m):
-    """`straight_rewrite` of m at each projective point x in
-    {(1, v)} u {(0, 1)}, skipping the x with {x, x^2} dependent."""
-    points = [(1, v) for v in range(t.q)] + [(0, 1)]
-    return [r for r in (straight_rewrite(t, m, u, v) for u, v in points) if r is not None]
-
-
 def sform_orbit(t: FieldTables, m):
     """The S-forms isomorphic to the algebra with structure codes m.
 
@@ -275,15 +269,15 @@ def sform_orbit(t: FieldTables, m):
     counts the straight generators of m and `automorphisms` those that
     carry m onto itself (0 unless m is an S-form).
 
-    Only one generator per projective point x in {(1, v)} u {(0, 1)} is
-    rewritten in full, onto S(p, q, a, b, c, d) by X.  Its multiple lam*x
-    rewrites m onto S(lam^3 p, lam^2 q, lam^2 a, lam b, lam^2 c, lam d)
-    by X diag(1/lam, 1/lam^2), so each of the q - 1 multiples costs ten
+    Only one generator per line, from `straight_bases`, is rewritten in
+    full, onto S(p, q, a, b, c, d) by X.  Its multiple lam*x rewrites m
+    onto S(lam^3 p, lam^2 q, lam^2 a, lam b, lam^2 c, lam d) by
+    X diag(1/lam, 1/lam^2), so each of the q - 1 multiples costs ten
     lookups.  The generators are not visited in X order, hence the minimum.
     """
     n, mul, inv = t.q, t.mul, t.inv
     own = m[2:] if m[:2] == (0, 1) else None
-    bases = _straight_bases(t, m)
+    bases = list(straight_bases(t, m))
     least: dict[tuple, tuple[int, int, int, int]] = {}
     automorphisms = 0
     for lam in range(1, n):
@@ -317,7 +311,7 @@ def sform_witness(t: FieldTables, m, target):
     n, mul, inv = t.q, t.mul, t.inv
     B, D = target[3], target[5]
     best = None
-    for x, y, z, w, (p, q, a, b, c, d) in _straight_bases(t, m):
+    for x, y, z, w, (p, q, a, b, c, d) in straight_bases(t, m):
         if b or d:
             k, K = (b, B) if b else (d, D)
             lams = (mul[K][inv[k]],) if K else ()

@@ -193,6 +193,19 @@ def test_is_curled_matches_the_definition(spec):
     assert not all(verdicts[21:])
 
 
+def test_is_curled_rewrites_once_per_line(monkeypatch):
+    import endoclass.algebra as algebra
+    calls = []
+    rewrite = algebra.straight_rewrite
+
+    def counting_rewrite(*args):
+        calls.append(args[2:])
+        return rewrite(*args)
+    monkeypatch.setattr(algebra, "straight_rewrite", counting_rewrite)
+    assert is_curled(StructureMatrix.zero(field_from_spec("F256")))
+    assert 0 < len(calls) <= 256 + 1
+
+
 def test_to_straight_form_identity_on_sforms():
     S = sp(F5, 0, 1, 1, 0, -1, 2)
     params, X = to_straight_form(S.to_structure_matrix())

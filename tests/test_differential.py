@@ -31,9 +31,10 @@ import random
 import pytest
 
 from endoclass import (RelationId, Transform, are_isomorphic, field_from_spec, gf2x,
-                       is_curled, is_square, lift, related, theorem_families, transform)
+                       is_curled, is_square, lift, related, theorem_families,
+                       to_straight_form, transform)
 from endoclass.algebra import (_TYPE_BY_PATTERN, StructureMatrix, _ec_straight_codes,
-                               straight_generators)
+                               straight_bases)
 from endoclass.classify import _TYPE_ALIASES, enumerate_type, enumerate_type_ii1, iso_classes
 from endoclass.equiv import (RepSystem, UnsupportedRelation, _check_supported,
                              bounded_refutation_search, carrier_elements, rep_system)
@@ -256,36 +257,38 @@ def square_tables(t, m):
     return sqe, sqf
 
 
-def full_straight_generators(t, m):
-    """Every straight generator rewritten in full, through one table of
-    the squares of all q^2 elements."""
+def full_straight_generators(t, m, points=None):
+    """Every straight generator x = u e + v f rewritten in full (u cycling
+    fastest), or only those at the (u, v) in `points`, through one table
+    of the squares of all q^2 elements."""
     q, add, sub, mul, neg, inv = t.q, t.add, t.sub, t.mul, t.neg, t.inv
     r1e, r1f, r2e, r2f, r3e, r3f, r4e, r4f = m
     sqe, sqf = square_tables(t, m)
-    for v in range(q):
-        for u in range(q):
-            i = u * q + v
-            s, s2 = sqe[i], sqf[i]
-            det = sub[mul[u][s2]][mul[v][s]]
-            if not det:
-                continue
-            di = inv[det]
+    if points is None:
+        points = [(u, v) for v in range(q) for u in range(q)]
+    for u, v in points:
+        i = u * q + v
+        s, s2 = sqe[i], sqf[i]
+        det = sub[mul[u][s2]][mul[v][s]]
+        if not det:
+            continue
+        di = inv[det]
 
-            def coords(ce, cf):
-                return (mul[sub[mul[ce][s2]][mul[cf][s]]][di],
-                        mul[sub[mul[u][cf]][mul[v][ce]]][di])
+        def coords(ce, cf):
+            return (mul[sub[mul[ce][s2]][mul[cf][s]]][di],
+                    mul[sub[mul[u][cf]][mul[v][ce]]][di])
 
-            j = s * q + s2
-            p_, q_ = coords(sqe[j], sqf[j])
-            us, vs2, us2, vs = mul[u][s], mul[v][s2], mul[u][s2], mul[v][s]
-            se = add[mul[us][r1e]][mul[vs2][r2e]]
-            sf = add[mul[us][r1f]][mul[vs2][r2f]]
-            a_, b_ = coords(add[se][add[mul[us2][r3e]][mul[vs][r4e]]],
-                            add[sf][add[mul[us2][r3f]][mul[vs][r4f]]])
-            c_, d_ = coords(add[se][add[mul[vs][r3e]][mul[us2][r4e]]],
-                            add[sf][add[mul[vs][r3f]][mul[us2][r4f]]])
-            yield (mul[s2][di], mul[neg[v]][di], mul[neg[s]][di], mul[u][di],
-                   (p_, q_, a_, b_, c_, d_))
+        j = s * q + s2
+        p_, q_ = coords(sqe[j], sqf[j])
+        us, vs2, us2, vs = mul[u][s], mul[v][s2], mul[u][s2], mul[v][s]
+        se = add[mul[us][r1e]][mul[vs2][r2e]]
+        sf = add[mul[us][r1f]][mul[vs2][r2f]]
+        a_, b_ = coords(add[se][add[mul[us2][r3e]][mul[vs][r4e]]],
+                        add[sf][add[mul[us2][r3f]][mul[vs][r4f]]])
+        c_, d_ = coords(add[se][add[mul[vs][r3e]][mul[us2][r4e]]],
+                        add[sf][add[mul[vs][r3f]][mul[us2][r4f]]])
+        yield (mul[s2][di], mul[neg[v]][di], mul[neg[s]][di], mul[u][di],
+               (p_, q_, a_, b_, c_, d_))
 
 
 def full_sform_orbit(generators, own):
@@ -319,16 +322,22 @@ def orbit_seeds(field, rng):
 def test_sform_orbit_matches_full_generator_scan(spec):
     field = field_from_spec(spec)
     t = field.tables()
+    # the first point of each line through 0 in the oracle's order
+    lines = [(1, 0), (0, 1)] + [(u, 1) for u in range(1, t.q)]
     curled = 0
     for m in orbit_seeds(field, random.Random(spec)):
         generators = list(full_straight_generators(t, m))
-        assert list(straight_generators(t, m)) == generators, m
+        assert list(straight_bases(t, m)) == list(full_straight_generators(t, m, lines)), m
         own = m[2:] if m[:2] == (0, 1) else None
         assert sform_orbit(t, m) == full_sform_orbit(generators, own), m
-        if not generators:
+        A = StructureMatrix.from_codes(field, m)
+        normal = to_straight_form(A)
+        if generators:
+            params, X = normal
+            assert X.codes() + (params.codes(),) == generators[0], m
+        else:
             curled += 1
-            assert is_curled(StructureMatrix(field, [
-                [field.element_of_code(c) for c in m[i:i + 2]] for i in range(0, 8, 2)]))
+            assert normal is None and is_curled(A)
     assert curled >= 4
 
 

@@ -93,6 +93,36 @@ def test_prime_power_shorthands():
     assert field_from_spec("F16").spec_string() == "F2^4/x^4+x+1"
 
 
+def prime_power(n):
+    """(p, k) with n = p^k for a prime p and k >= 1, or None."""
+    p = next((d for d in range(2, n + 1) if n % d == 0), None)
+    if p is None:
+        return None
+    k = 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return (p, k) if n == 1 else None
+
+
+def test_every_order_up_to_the_largest_field():
+    for n in range(MAX_ORDER + 1):
+        spec, pk = f"F{n}", prime_power(n)
+        if pk is None:
+            with pytest.raises(FieldError, match=f"^{n} is neither prime nor a prime power$"):
+                field_from_spec(spec)
+        elif pk[1] == 1 and n > MAX_PRIME:
+            with pytest.raises(FieldError, match=f"^prime fields are supported up to "
+                                                 f"p = {MAX_PRIME}, got {n}$"):
+                field_from_spec(spec)
+        elif pk[1] == 1:
+            assert field_from_spec(spec).descriptor == FieldDescriptor.prime(n)
+        else:
+            p, k = pk
+            assert field_from_spec(spec).descriptor == \
+                FieldDescriptor.extension(p, k, default_modulus(p, k))
+
+
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
