@@ -18,7 +18,7 @@ _EXPORTS = {
     "fields": (
         "FieldDescriptor", "Field", "FieldElement", "FieldError",
         "FieldMismatchError", "InfiniteFieldError",
-        "field_make", "field_from_spec", "enumerate_elements", "is_square"),
+        "field_make", "field_from_spec", "is_square"),
     "algebra": (
         "AlgebraElement", "AlgebraType", "NotEndoCommutative", "SParams",
         "StructureMatrix", "basis", "element", "ii1_subclass", "is_curled",

@@ -8,11 +8,13 @@ The pipeline over a finite field K:
      the enumeration-least unassigned member (an isomorphism onto an
      S-form is fixed by where it sends x; one x per projective point is
      rewritten and its q - 1 multiples follow by scaling), checking
-     orbit-stabilizer counts on the way,
+     orbit-stabilizer counts on the way; the orbits are plain sets of
+     codes, and no witness is built for a member,
   3. build the predicted family catalog (two shapes for characteristic
      != 2, two for characteristic 2, each parametrized by complete
      representative systems of the relations in `equiv`),
-  4. verify that catalog and partition match member for member.
+  4. verify that catalog and partition match member for member, and
+     solve for one witness per matched predicted member.
 
 One scan serves every type bucket: a type fixes which of p, a and c
 are zero, so each bucket visits q^3 tuples times q - 1 per nonzero
@@ -34,7 +36,7 @@ from .algebra import (SParams, _TYPE_BY_PATTERN, _ec_straight_codes, _ii1_stratu
                       is_endo_commutative_straight, AlgebraType)
 from .equiv import RelationId, rep_system
 from .fields import Field, FieldElement
-from .iso import Transform, sform_orbit
+from .iso import Transform, sform_orbit, sform_witness
 
 # the type-II1 scan over F49, about 73 s at 270-290 ns per tuple
 MAX_SCAN_TUPLES = 49**3 * 48**2
@@ -154,7 +156,7 @@ def enumerate_subclasses(field: Field) -> SubclassInventory:
 @dataclass
 class IsoClass:
     """One isomorphism class: representative is the enumeration-least
-    member; witnesses[i] carries the representative onto members[i].
+    member, and members lists the partitioned algebras in its orbit.
 
     generators counts the straight generators of the representative and
     automorphisms those carrying it onto itself; outside lists the
@@ -165,7 +167,6 @@ class IsoClass:
     representative: SParams
     members: list[SParams]
     member_indices: list[int]
-    witnesses: list[Transform]
     generators: int
     automorphisms: int
     outside: list[SParams]
@@ -181,9 +182,8 @@ def iso_classes(algebras) -> list[IsoClass]:
     """Partition S-form algebras into isomorphism classes.
 
     Each class is the orbit of its enumeration-least member, the seed,
-    found by one `sform_orbit` scan; each recorded witness is the
-    lexicographically least X with transform(seed, X) = member, exactly
-    what a pairwise are_isomorphic call would return.
+    found by one `sform_orbit` scan.  `are_isomorphic(seed, member)`
+    gives the least witness of a member on demand.
     """
     algebras = list(algebras)
     if not algebras:
@@ -197,26 +197,23 @@ def iso_classes(algebras) -> list[IsoClass]:
     for i, sp in enumerate(algebras):
         positions.setdefault(sp.codes(), []).append(i)
 
-    dec = field.element_of_code
     assigned = [False] * len(algebras)
     out = []
     for i, seed in enumerate(algebras):
         if assigned[i]:
             continue
-        least, generators, automorphisms = sform_orbit(t, (0, 1) + seed.codes())
-        hits = sorted((j, xc) for params, xc in least.items()
-                      for j in positions.get(params, ()))
-        for j, _ in hits:
+        orbit, generators, automorphisms = sform_orbit(t, (0, 1) + seed.codes())
+        hits = sorted(j for params in orbit for j in positions.get(params, ()))
+        for j in hits:
             assigned[j] = True
         out.append(IsoClass(
             representative=seed,
-            members=[algebras[j] for j, _ in hits],
-            member_indices=[j for j, _ in hits],
-            witnesses=[Transform(*(dec(c) for c in xc)) for _, xc in hits],
+            members=[algebras[j] for j in hits],
+            member_indices=hits,
             generators=generators,
             automorphisms=automorphisms,
             outside=[SParams.from_codes(field, params)
-                     for params in sorted(least) if params not in positions]))
+                     for params in sorted(orbit) if params not in positions]))
     return out
 
 
@@ -408,25 +405,24 @@ def verify_classification(field: Field) -> ClassificationReport:
                     f"orbit-stabilizer check: class {ci} reaches the type-II1 "
                     f"S-form {sp}, which is absent from the scan")
 
-    member_to_class: dict[tuple, tuple[int, int]] = {}
-    for ci, cls in enumerate(classes):
-        for pos, sp in enumerate(cls.members):
-            member_to_class[sp.codes()] = (ci, pos)
+    member_to_class = {sp.codes(): ci for ci, cls in enumerate(classes) for sp in cls.members}
 
+    t, dec = field.tables(), field.element_of_code
     matching: list[MatchEntry] = []
     seen_class: dict[int, FamilyLabel] = {}
     for label, sp in predicted:
-        loc = member_to_class.get(sp.codes())
-        if loc is None:
+        ci = member_to_class.get(sp.codes())
+        if ci is None:
             failures.append(f"predicted {label} = {sp} is absent from the type-II1 scan")
             matching.append(MatchEntry(label, sp, None, None))
             continue
-        ci, pos = loc
         if ci in seen_class:
             failures.append(
                 f"predicted {label} and {seen_class[ci]} fall in the same class {ci}")
         seen_class[ci] = label
-        matching.append(MatchEntry(label, sp, ci, classes[ci].witnesses[pos]))
+        # sp lies in the orbit of the representative, so a witness exists
+        xc = sform_witness(t, (0, 1) + classes[ci].representative.codes(), sp.codes())
+        matching.append(MatchEntry(label, sp, ci, Transform(*map(dec, xc))))
 
     if len(classes) != len(predicted):
         failures.append(

@@ -27,8 +27,8 @@ import os
 import sys
 
 from . import __version__
-from .algebra import (NotEndoCommutative, SParams, is_endo_commutative_straight,
-                      multiplication_table_text, rank, type_of)
+from .algebra import (SParams, is_endo_commutative_straight, multiplication_table_text,
+                      rank, type_of)
 from .classify import (_TYPE_ALIASES, enumerate_type, iso_classes, verify_classification)
 from .equiv import (MAX_DEGREE_BOUND, RelationId, UnsupportedRelation,
                     bounded_refutation_search, related, rep_system)
@@ -193,10 +193,7 @@ def cmd_table(args) -> int:
     sp = _parse_sparams(field, args.algebra)
     matrix = sp.to_structure_matrix()
     ec = is_endo_commutative_straight(sp)
-    try:
-        tp = type_of(sp).value
-    except NotEndoCommutative:
-        tp = None
+    tp = type_of(sp).value if ec else None
     if args.format == "json":
         _emit_json({"field": field.spec_string(), "params": sp.to_json(),
                     "table": multiplication_table_text(matrix),

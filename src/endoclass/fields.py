@@ -554,6 +554,7 @@ class FiniteFieldBase(Field):
         return FieldElement(self, code)
 
     def elements(self) -> list[FieldElement]:
+        """All q elements in code order: 0, 1, then lexicographic coefficients."""
         return [FieldElement(self, c) for c in range(self.order())]
 
 
@@ -830,11 +831,6 @@ def field_from_spec(s: str) -> Field:
         if p**k == n:
             return field_make(FieldDescriptor.extension(p, k, default_modulus(p, k)))
     raise FieldError(f"{n} is neither prime nor a prime power")
-
-
-def enumerate_elements(field: Field) -> list[FieldElement]:
-    """All q elements in code order: 0, 1, then lexicographic coefficients."""
-    return field.elements()
 
 
 def is_square(field: Field, t: FieldElement) -> tuple[bool, FieldElement | None]:

@@ -21,11 +21,13 @@ one of its at most q^2 - 1 straight generators x.  The source is
 rewritten once per line through 0 by `algebra.straight_bases`, q + 1
 rewrites, and a multiple lam*x scales that rewrite's parameters by
 powers of lam.
-`sform_witness` decides one pair by solving for lam from the target's
-b or d, so each rewrite costs at most one scaling, or q - 1 in the rare
-case b = d = 0.  `sform_orbit` scales every rewrite by every lam, and
-builds the whole orbit that the isomorphism partition needs.  Any other
-target falls back to enumerating all (q^2-1)(q^2-q) invertible matrices
+`_landings` solves for the lam that carries a rewrite onto one target,
+from the target's b or d, so each rewrite costs at most one scaling, or
+q - 1 in the rare case b = d = 0.  `sform_witness` takes the least of
+its X, and `sform_orbit` counts automorphisms with it.  `sform_orbit`
+builds the plain set of the orbit for the isomorphism partition, and
+expands each scaling class of rewrites once.  Any other target falls
+back to enumerating all (q^2-1)(q^2-q) invertible matrices
 in lexicographic order.  All of these run on integer codes.
 """
 
@@ -260,58 +262,19 @@ def apply_transform_codes(t: FieldTables, L, A, x: int, y: int, z: int, w: int):
     return tuple(out)
 
 
-def sform_orbit(t: FieldTables, m):
-    """The S-forms isomorphic to the algebra with structure codes m.
+def _landings(t: FieldTables, bases, target):
+    """X codes of every multiple lam*x of a base in `bases` (from
+    `straight_bases`) that lands on the S-form with (p, q, a, b, c, d)
+    codes `target`.
 
-    Returns (least, generators, automorphisms): `least` maps the
-    (p, q, a, b, c, d) codes of each S-form in the orbit to the
-    lexicographically least X codes carrying m onto it; `generators`
-    counts the straight generators of m and `automorphisms` those that
-    carry m onto itself (0 unless m is an S-form).
-
-    Only one generator per line, from `straight_bases`, is rewritten in
-    full, onto S(p, q, a, b, c, d) by X.  Its multiple lam*x rewrites m
-    onto S(lam^3 p, lam^2 q, lam^2 a, lam b, lam^2 c, lam d) by
-    X diag(1/lam, 1/lam^2), so each of the q - 1 multiples costs ten
-    lookups.  The generators are not visited in X order, hence the minimum.
-    """
-    n, mul, inv = t.q, t.mul, t.inv
-    own = m[2:] if m[:2] == (0, 1) else None
-    bases = list(straight_bases(t, m))
-    least: dict[tuple, tuple[int, int, int, int]] = {}
-    automorphisms = 0
-    for lam in range(1, n):
-        m1 = mul[lam]
-        m2 = mul[m1[lam]]
-        m3 = mul[m2[lam]]
-        i1 = mul[inv[lam]]
-        i2 = mul[i1[inv[lam]]]
-        for x, y, z, w, (p, q, a, b, c, d) in bases:
-            params = (m3[p], m2[q], m2[a], m1[b], m2[c], m1[d])
-            automorphisms += params == own
-            X = (i1[x], i2[y], i1[z], i2[w])
-            best = least.get(params)
-            if best is None or X < best:
-                least[params] = X
-    return least, (n - 1) * len(bases), automorphisms
-
-
-def sform_witness(t: FieldTables, m, target):
-    """The lexicographically least X codes carrying the algebra with
-    structure codes m onto the S-form with (p, q, a, b, c, d) codes
-    `target`, or None: the entry of `sform_orbit(t, m)[0]` for target,
-    without building the rest of the orbit.
-
-    The multiple lam*x of a base lands on
-    S(lam^3 p, lam^2 q, lam^2 a, lam b, lam^2 c, lam d), so the only
-    candidate is lam = B/b when b != 0 and lam = D/d when d != 0.  A base
-    with b = d = 0 can reach target only if B = D = 0, and then every lam
-    is tried; such bases are rare, so a call costs O(q).
+    lam*x rewrites onto S(lam^3 p, lam^2 q, lam^2 a, lam b, lam^2 c, lam d)
+    by X diag(1/lam, 1/lam^2), so the only candidate is lam = B/b when
+    b != 0 and lam = D/d when d != 0.  A base with b = d = 0 can land only
+    if B = D = 0, and then every lam is tried; such bases are rare.
     """
     n, mul, inv = t.q, t.mul, t.inv
     B, D = target[3], target[5]
-    best = None
-    for x, y, z, w, (p, q, a, b, c, d) in straight_bases(t, m):
+    for x, y, z, w, (p, q, a, b, c, d) in bases:
         if b or d:
             k, K = (b, B) if b else (d, D)
             lams = (mul[K][inv[k]],) if K else ()
@@ -325,10 +288,43 @@ def sform_witness(t: FieldTables, m, target):
             if (mul[m2[lam]][p], m2[q], m2[a], m1[b], m2[c], m1[d]) == target:
                 i1 = mul[inv[lam]]
                 i2 = mul[i1[inv[lam]]]
-                X = (i1[x], i2[y], i1[z], i2[w])
-                if best is None or X < best:
-                    best = X
-    return best
+                yield (i1[x], i2[y], i1[z], i2[w])
+
+
+def sform_orbit(t: FieldTables, m):
+    """The S-forms isomorphic to the algebra with structure codes m.
+
+    Returns (orbit, generators, automorphisms): `orbit` is the set of
+    (p, q, a, b, c, d) codes of those S-forms, `generators` counts the
+    straight generators of m and `automorphisms` those that carry m onto
+    itself (0 unless m is an S-form).
+
+    The scalings of one base's params form its scaling class.  A base
+    whose params are already in the set lies in a class that is already
+    expanded and is skipped; every other base adds its q - 1 scalings,
+    so each S-form is added once.
+    """
+    n, mul = t.q, t.mul
+    bases = list(straight_bases(t, m))
+    scales = [(mul[lam], mul[mul[lam][lam]], mul[mul[mul[lam][lam]][lam]])
+              for lam in range(1, n)]
+    orbit: set[tuple] = set()
+    for *_, params in bases:
+        if params in orbit:
+            continue
+        p, q, a, b, c, d = params
+        orbit.update((m3[p], m2[q], m2[a], m1[b], m2[c], m1[d]) for m1, m2, m3 in scales)
+    own = m[2:] if m[:2] == (0, 1) else None
+    automorphisms = 0 if own is None else sum(1 for _ in _landings(t, bases, own))
+    return orbit, (n - 1) * len(bases), automorphisms
+
+
+def sform_witness(t: FieldTables, m, target):
+    """The lexicographically least X codes carrying the algebra with
+    structure codes m onto the S-form with (p, q, a, b, c, d) codes
+    `target`, or None: at most one scaling per line through 0 for almost
+    every m, so a call costs O(q)."""
+    return min(_landings(t, straight_bases(t, m), target), default=None)
 
 
 def are_isomorphic(A: StructureMatrix, A2: StructureMatrix):

@@ -1,10 +1,10 @@
 import pytest
 
 from endoclass import (AlgebraType, FamilyLabel, InfiniteFieldError, OversizedFieldError,
-                       check_iso_system, enumerate_subclasses, enumerate_type, enumerate_type_ii1,
-                       field_from_spec, ii1_subclass, is_endo_commutative_straight,
-                       iso_classes, theorem_families, transform, type_of,
-                       verify_classification)
+                       are_isomorphic, check_iso_system, enumerate_subclasses, enumerate_type,
+                       enumerate_type_ii1, field_from_spec, ii1_subclass,
+                       is_endo_commutative_straight, iso_classes, theorem_families, transform,
+                       type_of, verify_classification)
 
 from common import CHAR2_CATALOG, ScanStarted, forbid_scan, sp
 
@@ -109,9 +109,10 @@ def test_iso_classes_merges_equal_discriminant_pair():
     assert len(classes) == 1
     cls = classes[0]
     assert cls.representative == sp(F5, 0, 1, 1, 0, -1, 2)
-    for member, wit in zip(cls.members, cls.witnesses):
-        assert transform(cls.representative.to_structure_matrix(), wit) == \
-            member.to_structure_matrix()
+    rep = cls.representative.to_structure_matrix()
+    for member in cls.members:
+        wit = are_isomorphic(rep, member.to_structure_matrix())
+        assert transform(rep, wit) == member.to_structure_matrix()
 
 
 def test_iso_classes_distinguishes_discriminant_strata():
@@ -195,7 +196,6 @@ def test_verify_f3_structure():
 
 def test_verify_cross_family_members_stay_apart():
     # the base family member is isomorphic to no sign/scale family member
-    from endoclass import are_isomorphic
     base = sp(F3, 0, 1, 1, 0, -1, 2).to_structure_matrix()
     for label, s in theorem_families(F3):
         if label.tag == "S3":
@@ -279,6 +279,22 @@ def test_verify_catches_a_wrong_automorphism_count(monkeypatch):
     counts = [f for f in report.failures if f.startswith("orbit-stabilizer check: class ")
               and "automorphisms but" in f]
     assert len(counts) == len(report.classes) == 10
+
+
+def test_verify_solves_one_witness_per_matched_family(monkeypatch):
+    import endoclass.classify as classify
+    solve = classify.sform_witness
+    calls = []
+
+    def counted(t, m, target):
+        calls.append(target)
+        return solve(t, m, target)
+    monkeypatch.setattr(classify, "sform_witness", counted)
+    F9 = field_from_spec("F9")
+    report = verify_classification(F9)
+    assert report.verdict
+    assert all(m.class_index is not None and m.witness for m in report.matching)
+    assert calls == [sp.codes() for _, sp in theorem_families(F9)]
 
 
 def test_orbit_stabilizer_counts_f5():

@@ -7,12 +7,16 @@
   log/antilog construction that built them one entry at a time.
 * The projective-point orbit derivation against the loop that rewrites
   every straight generator in full.
-* The one-target solve of `are_isomorphic` against the whole orbit
-  that `sform_orbit` builds.
-* The straight-generator orbit scans against the exhaustive per-seed
-  orbit scan over all of GL2 in lexicographic order: for each member it
-  keeps the first X that hits it, i.e. the lexicographically least
-  witness.
+* The orbit sets and automorphism counts of `sform_orbit`, which
+  expands each scaling class once, against the loop that rewrites every
+  straight generator in full, on every field up to q = 32 and on family
+  members of F64, F81, F128, F243 and F256.
+* The one-target solve of `sform_witness` against the least X per
+  S-form that the full-generator loop keeps.
+* The isomorphism partition and the solved witness of each member
+  against the exhaustive per-seed orbit scan over all of GL2 in
+  lexicographic order: for each member it keeps the first X that hits
+  it, i.e. the lexicographically least witness.
 * The change of basis through lift(X^(-1)) against the route that
   inverts lift(X) by elimination.
 * The lookup-based representative systems against the pairwise greedy
@@ -329,7 +333,8 @@ def test_sform_orbit_matches_full_generator_scan(spec):
         generators = list(full_straight_generators(t, m))
         assert list(straight_bases(t, m)) == list(full_straight_generators(t, m, lines)), m
         own = m[2:] if m[:2] == (0, 1) else None
-        assert sform_orbit(t, m) == full_sform_orbit(generators, own), m
+        least, count, automorphisms = full_sform_orbit(generators, own)
+        assert sform_orbit(t, m) == (set(least), count, automorphisms), m
         A = StructureMatrix.from_codes(field, m)
         normal = to_straight_form(A)
         if generators:
@@ -339,6 +344,21 @@ def test_sform_orbit_matches_full_generator_scan(spec):
             curled += 1
             assert normal is None and is_curled(A)
     assert curled >= 4
+
+
+@pytest.mark.parametrize("spec", ["F64", "F81", "F128", "F243", "F256"])
+def test_sform_orbit_matches_full_generator_scan_on_large_fields(spec):
+    # the only check beyond q = 32 of skipping a base whose scaling class
+    # is already in the orbit
+    field = field_from_spec(spec)
+    t = field.tables()
+    families = theorem_families(field)
+    for _, member in (families[0], families[len(families) // 2], families[-1]):
+        m = (0, 1) + member.codes()
+        least, count, automorphisms = full_sform_orbit(list(full_straight_generators(t, m)),
+                                                       m[2:])
+        assert automorphisms > 0
+        assert sform_orbit(t, m) == (set(least), count, automorphisms), m
 
 
 def gl2_orbit_first_hits(t, gl2, src, key_to_index):
@@ -384,7 +404,12 @@ def gl2_first_witness(A, A2):
 @pytest.mark.parametrize("spec", SMALL_FIELDS)
 def test_iso_classes_match_gl2_partition(spec):
     scan = enumerate_type_ii1(field_from_spec(spec))
-    got = [(c.member_indices, [w.codes() for w in c.witnesses]) for c in iso_classes(scan)]
+    t = scan[0].field.tables()
+    got = []
+    for c in iso_classes(scan):
+        rep = (0, 1) + c.representative.codes()
+        got.append((c.member_indices,
+                    [sform_witness(t, rep, scan[j].codes()) for j in c.member_indices]))
     assert got == gl2_partition(scan)
 
 
@@ -421,7 +446,7 @@ def test_sform_witness_matches_sform_orbit(spec):
                                                for _ in range(8)]
     b_d_zero_hits = 0
     for src in sources:
-        orbit = sform_orbit(t, src)[0]
+        orbit = full_sform_orbit(list(full_straight_generators(t, src)), None)[0]
         targets = members + rng.sample(sorted(orbit), min(8, len(orbit)))
         targets += [tuple(rng.randrange(q) for _ in range(6)) for _ in range(4)]
         for target in targets:

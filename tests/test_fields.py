@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 from endoclass import (FieldDescriptor, FieldError, FieldMismatchError,
-                       InfiniteFieldError, enumerate_elements,
-                       field_from_spec, field_make, is_square)
+                       InfiniteFieldError, field_from_spec, field_make, is_square)
 from endoclass.fields import (MAX_ORDER, MAX_PRIME, _format_poly, _is_prime,
                               _poly_from_code, _poly_is_irreducible, default_modulus)
 
@@ -128,16 +127,16 @@ def test_every_order_up_to_the_largest_field():
 # ---------------------------------------------------------------------------
 
 def test_enumeration_small_fields():
-    assert [str(e) for e in enumerate_elements(field_from_spec("F2"))] == ["0", "1"]
-    assert [str(e) for e in enumerate_elements(field_from_spec("F3"))] == ["0", "1", "2"]
-    assert [str(e) for e in enumerate_elements(field_from_spec("F4"))] == ["0", "1", "w", "w+1"]
+    assert [str(e) for e in field_from_spec("F2").elements()] == ["0", "1"]
+    assert [str(e) for e in field_from_spec("F3").elements()] == ["0", "1", "2"]
+    assert [str(e) for e in field_from_spec("F4").elements()] == ["0", "1", "w", "w+1"]
 
 
 def test_enumeration_rejects_infinite():
     with pytest.raises(InfiniteFieldError):
-        enumerate_elements(field_from_spec("Q"))
+        field_from_spec("Q").elements()
     with pytest.raises(InfiniteFieldError):
-        enumerate_elements(field_from_spec("F2(X)"))
+        field_from_spec("F2(X)").elements()
 
 
 def test_code_round_trip():
