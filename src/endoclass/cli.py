@@ -27,8 +27,8 @@ import os
 import sys
 
 from . import __version__
-from .algebra import (SParams, is_endo_commutative_straight, multiplication_table_text,
-                      rank, type_of)
+from .algebra import (SParams, _TYPE_BY_PATTERN, is_endo_commutative_straight,
+                      multiplication_table_text, rank)
 from .classify import (_TYPE_ALIASES, enumerate_type, iso_classes, verify_classification)
 from .equiv import (MAX_DEGREE_BOUND, RelationId, UnsupportedRelation,
                     bounded_refutation_search, related, rep_system)
@@ -193,7 +193,7 @@ def cmd_table(args) -> int:
     sp = _parse_sparams(field, args.algebra)
     matrix = sp.to_structure_matrix()
     ec = is_endo_commutative_straight(sp)
-    tp = type_of(sp).value if ec else None
+    tp = _TYPE_BY_PATTERN[(bool(sp.p), bool(sp.a), bool(sp.c))].value if ec else None
     if args.format == "json":
         _emit_json({"field": field.spec_string(), "params": sp.to_json(),
                     "table": multiplication_table_text(matrix),
@@ -212,7 +212,10 @@ class _UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """Reports a refused command line as argparse does, then lets `main`
-    return 2 instead of exiting (subparsers inherit the class)."""
+    return 2 instead of exiting (subparsers inherit the class).  The
+    top-level parser keeps each command's parser in `commands`."""
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -221,13 +224,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first call and shared after it.
+def build_parser() -> _Parser:
+    """The full argument parser, built on the first call and shared after it.
 
     `main` calls this on every invocation, so in-process callers pay for
-    the argparse tree once.  Each parse returns a fresh namespace; do not
-    add arguments to the returned parser, since every later `main` call
-    sees them.
+    the argparse tree once; `commands` maps each command name to its own
+    parser.  Each parse returns a fresh namespace; do not add arguments
+    to the returned parser, since every later `main` call sees them.
     """
     parser = _Parser(
         prog="endoclass",
@@ -270,12 +273,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algebra", required=True,
                    help="SParams as JSON or 6 comma-separated values")
 
+    parser.commands = sub.choices
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """What `build_parser().parse_args(argv)` returns, parsing argv once.
+
+    The top-level parser hands everything after the command name to the
+    command's parser and only reports what that leaves over, so a line
+    that starts with a command goes straight to the command's parser.
+    Every other line (empty, an option first, an unknown command) takes
+    the full parser.
+    """
+    parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
+    """Run one command line (`sys.argv[1:]` when argv is None) and return
+    its exit code; `--help` and `--version` exit through SystemExit."""
     try:
-        args = build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except _UsageError:
         return 2
     try:

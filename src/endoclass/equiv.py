@@ -311,7 +311,10 @@ def bounded_refutation_search(field: Field, rel: RelationId,
     to the bound (the relation may still hold with larger witnesses).
     The witness is the first hit with den ascending, then num ascending.
     For one den, num^2 + den*num = target*den^2 is GF(2)-linear in num,
-    so its least solution comes from one back substitution.
+    so its least solution comes from one back substitution.  A target
+    with an odd pole order at infinity is answered at once: x^2 + x has
+    an even pole order there (twice that of x) or none, so no x of any
+    degree solves it.
     """
     if not isinstance(field, RationalFunctionField2):
         raise UnsupportedRelation("bounded refutation search is specific to F2(X)")
@@ -330,6 +333,9 @@ def bounded_refutation_search(field: Field, rel: RelationId,
     else:
         target = t.inverse() + t2.inverse()
     tn, td = target.payload
+    pole = gf2x.deg(tn) - gf2x.deg(td)
+    if pole > 0 and pole % 2:
+        return None
     for den in range(1, 1 << (degree_bound + 1)):
         # num^2 + den*num has degree <= 2N: a larger quotient has no solution
         # within the bound, and skipping it keeps huge targets cheap

@@ -489,8 +489,9 @@ def _powers_of_primitive(field: "FiniteFieldBase",
 class FiniteFieldBase(Field):
     """F_p[x]/(modulus) for F_p and F_{p^k}; payloads are element codes.
 
-    Every operation on codes is one lookup in `tables()`, and printing
-    one in `element_strings()`, each built on first use.
+    Every operation on codes is one lookup in `tables()`, printing one
+    in `element_strings()`, and parsing a printed string one in its
+    inverse, each built on first use.
     """
 
     def __init__(self, descriptor: FieldDescriptor, p: int, k: int, modulus: tuple[int, ...]):
@@ -498,6 +499,7 @@ class FiniteFieldBase(Field):
         self.p, self.k, self.modulus = p, k, modulus
         self._tables: FieldTables | None = None
         self._strings: list[str] | None = None
+        self._codes: dict[str, int] | None = None
 
     def order(self) -> int:
         return self.p**self.k
@@ -524,6 +526,17 @@ class FiniteFieldBase(Field):
 
     def format(self, el):
         return self.element_strings()[el.payload]
+
+    def parse(self, s):
+        """A string spelled exactly as an element prints is read by one
+        lookup; every other spelling goes to `_parse_spelling`."""
+        if self._codes is None:
+            self._codes = {text: code for code, text in enumerate(self.element_strings())}
+        code = self._codes.get(s)
+        return FieldElement(self, code) if code is not None else self._parse_spelling(s)
+
+    def _parse_spelling(self, s: str) -> FieldElement:
+        raise NotImplementedError
 
     def _from_int_payload(self, n):
         return n % self.p
@@ -567,7 +580,7 @@ class PrimeField(FiniteFieldBase):
     def spec_string(self):
         return f"F{self.p}"
 
-    def parse(self, s):
+    def _parse_spelling(self, s):
         try:
             return self.from_int(int(s.strip()))
         except ValueError:
@@ -587,7 +600,7 @@ class ExtensionField(FiniteFieldBase):
         """The class of w, i.e. the adjoined root of the modulus."""
         return self.parse("w")
 
-    def parse(self, s):
+    def _parse_spelling(self, s):
         coeffs = _parse_poly(s, self.p)
         if len(coeffs) > self.k:
             coeffs = _poly_mod(coeffs, self.modulus, self.p)

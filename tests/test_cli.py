@@ -1,13 +1,15 @@
 import argparse
+import ast
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from endoclass.cli import build_parser, main
+from endoclass.cli import _parse, _UsageError, build_parser, main
 from endoclass.equiv import MAX_DEGREE_BOUND
 from endoclass.fields import MAX_EXPONENT
 
@@ -483,3 +485,108 @@ def test_main_builds_field_tables_once(capsys, monkeypatch):
         main(argv)
     capsys.readouterr()
     assert built in ([], ["F3^5/x^5+2x+1"])
+
+
+# ---------------------------------------------------------------------------
+# one parse per call: dispatch against the full parser
+# ---------------------------------------------------------------------------
+
+ISO_F5 = ["iso", "--field", "F5", "--lhs", "0,1,1,0,4,2", "--rhs", "0,1,1,0,4,2"]
+DISPATCH_EDGE_CASES = [
+    [], ["-h"], ["--version"], ["--ver"], ["--version", "iso"], ["bogus"], ["iso"],
+    ["iso", "--version"], ISO_F5 + ["--bogus"], ISO_F5 + ["--bogus", "x", "y"],
+    ISO_F5 + ["--", "x"], ISO_F5 + ["--"], ["--", "iso"],
+    ["iso", "--fie", "F5", "--lhs", "0,1,1,0,4,2", "--rhs", "0,1,1,0,4,2"],
+    ["verify", "--field", "F3", "--jobs", "2"],
+    ["equiv", "--field", "F5", "--relation", "sim1", "--reps", "--test", "1", "2"],
+    ["enumerate", "--field", "F3", "--subclass", "5"],
+    ["fields", "-h"], ["fields", "--field", "F4", "extra"], ["fields", "--field=F4"],
+    ["fields", "--field", "F4", "--version"], ["fields", "--field", "F4", "--fo", "tsv"],
+    ["equiv", "--field", "Q", "--relation", "sim1", "--test", "-1", "-4"],
+]
+
+
+def argv_lists_in_this_file():
+    """Every argv this file hands to `main` where it is written out: the
+    strings of each `run_cli` call and each list literal of strings that
+    is empty or starts with a command, -h, --help or --version."""
+    tree = ast.parse(Path(__file__).read_text())
+    names = vars(sys.modules[__name__])
+    first = set(build_parser().commands) | {"-h", "--help", "--version"}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "run_cli":
+            elts = node.args[1:]
+        elif isinstance(node, ast.List):
+            elts = node.elts
+        else:
+            continue
+        if any(isinstance(e, ast.Starred) for e in elts):
+            continue
+        try:
+            argv = [eval(compile(ast.Expression(e), __file__, "eval"), names) for e in elts]
+        except NameError:
+            continue  # built from a test's own parameters
+        if all(isinstance(a, str) for a in argv) and (not argv or argv[0] in first):
+            if argv not in found:
+                found.append(argv)
+    return found
+
+
+def full_parser_main(argv):
+    """The reference for `main`: the full parser parses the whole line,
+    then the command runs, with `main`'s handling of command errors."""
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError:
+        return 2
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"endoclass: error: {exc}", file=sys.stderr)
+        return 2
+
+
+def outcome(capsys, run, argv):
+    try:
+        code = run(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_dispatch_matches_the_full_parser(capsys):
+    cases = argv_lists_in_this_file()
+    assert len(cases) > 60
+    cases += [argv for argv in DISPATCH_EDGE_CASES if argv not in cases]
+    for argv in cases:
+        assert outcome(capsys, main, argv) == outcome(capsys, full_parser_main, argv), argv
+        try:
+            expected = vars(build_parser().parse_args(argv))
+        except (_UsageError, SystemExit):
+            capsys.readouterr()
+            continue
+        assert vars(_parse(argv)) == expected, argv  # the namespace the command gets
+
+
+def test_leftovers_are_reported_with_the_top_level_usage(capsys):
+    assert main(ISO_F5 + ["--bogus"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: endoclass [-h] [--version]")
+    assert err.endswith("endoclass: error: unrecognized arguments: --bogus\n")
+
+
+def test_table_checks_endo_commutativity_once(capsys, monkeypatch):
+    from endoclass import algebra, cli
+    calls = []
+    check = algebra.is_endo_commutative_straight
+
+    def counting(sp):
+        calls.append(sp)
+        return check(sp)
+    monkeypatch.setattr(algebra, "is_endo_commutative_straight", counting)
+    monkeypatch.setattr(cli, "is_endo_commutative_straight", counting)
+    assert main(["table", "--field", "F5", "--algebra=0,1,1,0,-1,2"]) == 0
+    assert capsys.readouterr().out.endswith("rank 2, endo-commutative: yes, type II1\n")
+    assert len(calls) == 1

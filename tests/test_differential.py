@@ -5,6 +5,7 @@
 * The field tables against tables built entry by entry from
   polynomial arithmetic on coefficient tuples, and against the
   log/antilog construction that built them one entry at a time.
+* The lookup of printed element strings against the polynomial parser.
 * The projective-point orbit derivation against the loop that rewrites
   every straight generator in full.
 * The orbit sets and automorphism counts of `sform_orbit`, which
@@ -42,8 +43,8 @@ from endoclass.algebra import (_TYPE_BY_PATTERN, StructureMatrix, _ec_straight_c
 from endoclass.classify import _TYPE_ALIASES, enumerate_type, enumerate_type_ii1, iso_classes
 from endoclass.equiv import (RepSystem, UnsupportedRelation, _check_supported,
                              bounded_refutation_search, carrier_elements, rep_system)
-from endoclass.fields import (FieldTables, _format_poly, _poly_from_code, _poly_mod,
-                              _poly_to_code, _poly_trim)
+from endoclass.fields import (FieldTables, _format_poly, _parse_poly, _poly_from_code,
+                              _poly_mod, _poly_to_code, _poly_trim)
 from endoclass.iso import apply_transform_codes, gl2_lifted, sform_orbit, sform_witness
 
 from common import poly_mul, random_element, tr
@@ -236,6 +237,19 @@ def test_tables_match_log_antilog_construction(spec):
     assert all(type(row) is list for name in ("add", "sub", "mul") for row in getattr(t, name))
     assert (t.sub is t.add) == (field.characteristic() == 2)
     assert list(t.square) == [row[c] for c, row in enumerate(expected["mul"])]
+
+
+@pytest.mark.parametrize("spec", FIELDS_UP_TO_64 + FIELDS_ABOVE_64 + ["F5^1/x+2"])
+def test_printed_strings_parse_to_their_codes(spec, monkeypatch):
+    field = field_from_spec(spec)
+    strings = field.element_strings()
+
+    def no_spelling(self, s):
+        raise AssertionError(f"{s!r} missed the lookup")
+    monkeypatch.setattr(type(field), "_parse_spelling", no_spelling)
+    assert [field.parse(text).payload for text in strings] == list(range(field.order()))
+    assert [_poly_to_code(_parse_poly(text, field.p), field.p)
+            for text in strings] == list(range(field.order()))
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +682,9 @@ def _random_f2x(rng, field, max_deg):
 
 def bounded_search_cases(count, seed):
     """(rel, t, t2, N) with every second case related by construction:
-    t' = t + x^2 + x (sim2) or 1/t' = 1/t + x^2 + x (sim4), deg x <= N."""
+    t' = t + x^2 + x (sim2) or 1/t' = 1/t + x^2 + x (sim4), deg x <= N.
+    Every fourth case has a target (t + t' or 1/t + 1/t') with an odd
+    pole order at infinity, which the search answers before its loop."""
     f2x = field_from_spec("F2(X)")
     rng = random.Random(seed)
     cases = []
@@ -678,15 +694,22 @@ def bounded_search_cases(count, seed):
         t = _random_f2x(rng, f2x, 3)
         if not t:
             continue
-        if len(cases) % 2 == 0:
+        if len(cases) % 4 == 3:
+            den = rng.randrange(1, 8)
+            pole = gf2x.deg(den) + rng.choice([1, 3])
+            target = f2x.from_polys(rng.randrange(1 << pole, 2 << pole), den)
+        elif len(cases) % 2 == 0:
             x = _random_f2x(rng, f2x, n)
-            if rel is RelationId.SIM2:
-                t2 = t + x * x + x
-            else:
-                inv = t.inverse() + x * x + x
-                t2 = inv.inverse() if inv else f2x.zero()
+            target = x * x + x
         else:
+            target = None
+        if target is None:
             t2 = _random_f2x(rng, f2x, 3)
+        elif rel is RelationId.SIM2:
+            t2 = t + target
+        else:
+            inv = t.inverse() + target
+            t2 = inv.inverse() if inv else f2x.zero()
         if t2:
             cases.append((rel, t, t2, n))
     return cases
@@ -695,9 +718,14 @@ def bounded_search_cases(count, seed):
 def test_bounded_search_matches_double_loop():
     f2x = field_from_spec("F2(X)")
     found = 0
+    odd_poles = 0
     for rel, t, t2, n in bounded_search_cases(600, seed=5):
         expected = double_loop_search(f2x, rel, t, t2, n)
         assert bounded_refutation_search(f2x, rel, t, t2, n) == expected, (rel, t, t2, n)
         found += expected is not None
+        tn, td = (t + t2 if rel is RelationId.SIM2 else t.inverse() + t2.inverse()).payload
+        pole = gf2x.deg(tn) - gf2x.deg(td)
+        odd_poles += pole > 0 and pole % 2 == 1
     assert found >= 300  # every constructed case has a witness within the bound
+    assert odd_poles >= 150  # every fourth case has an odd pole order at infinity
 

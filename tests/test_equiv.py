@@ -4,8 +4,9 @@ import pytest
 
 from endoclass import (CarrierError, InfiniteFieldError, RelationId,
                        UnsupportedRelation, bounded_refutation_search,
-                       carrier_elements, field_from_spec, is_square, related,
+                       carrier_elements, equiv, field_from_spec, is_square, related,
                        rep_system)
+from endoclass.equiv import MAX_DEGREE_BOUND
 
 F2 = field_from_spec("F2")
 F3 = field_from_spec("F3")
@@ -303,6 +304,24 @@ def test_bounded_search_sim4():
     wit = bounded_refutation_search(F2X, RelationId.SIM4, t, t2, 2)
     assert wit is not None
     assert wit * wit + wit == t.inverse() + t2.inverse()
+
+
+@pytest.mark.parametrize("rel", [RelationId.SIM2, RelationId.SIM4])
+def test_bounded_search_answers_an_odd_pole_at_once(rel, monkeypatch):
+    # target X: x^2 + x has an even pole order at infinity or none, so
+    # the search needs no denominator at all, even at the largest bound
+    calls = []
+    least = equiv._least_solution
+
+    def counting(den, rhs):
+        calls.append(den)
+        return least(den, rhs)
+    monkeypatch.setattr(equiv, "_least_solution", counting)
+    t = F2X.parse("(X^2+1)/(X^3+X+1)")
+    x = F2X.parse("X")
+    t2 = t + x if rel is RelationId.SIM2 else (t.inverse() + x).inverse()
+    assert bounded_refutation_search(F2X, rel, t, t2, MAX_DEGREE_BOUND) is None
+    assert calls == []
 
 
 def test_bounded_search_argument_validation():

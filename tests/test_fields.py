@@ -367,6 +367,34 @@ def test_single_leading_sign_parses():
     assert field_from_spec("F2(X)").parse("-X") == field_from_spec("F2(X)").parse("X")
 
 
+# spellings that are not how the element prints: they miss the lookup of
+# printed strings and keep the polynomial parser's result or error
+@pytest.mark.parametrize("spec, s, printed", [
+    ("F4", "1+w", "w+1"), ("F4", " w ", "w"), ("F4", "w^1", "w"), ("F4", "w+0", "w"),
+    ("F4", "3w", "w"), ("F4", "x", "w"), ("F4", "w^3", "1"), ("F4", "w+w", "0"),
+    ("F9", "2w+3", "2w"), ("F9", "w - 1", "w+2"), ("F9", "w^2", "2"),
+    ("F256", "w^8", "w^4+w^3+w+1"), ("F256", "w^9", "w^5+w^4+w^2+w"), ("F256", "1+w^7", "w^7+1"),
+    ("F243", "w^5", "w+2"), ("F27", "W", "w"),
+    ("F5", " 3 ", "3"), ("F5", "7", "2"), ("F5", "-1", "4"), ("F5", "+3", "3"), ("F5", "03", "3"),
+    ("F97", "100", "3"), ("F2", "1_1", "1"),
+])
+def test_non_canonical_spellings_parse_as_before(spec, s, printed):
+    assert str(field_from_spec(spec).parse(s)) == printed
+
+
+@pytest.mark.parametrize("spec, s, message", [
+    ("F4", "w+", "malformed polynomial: 'w+'"),
+    ("F4", "", "empty polynomial string"),
+    ("F4", "w*w", "malformed polynomial term: 'w*w'"),
+    ("F5", "w", "cannot parse 'w' as an element of F5"),
+    ("F5", "", "cannot parse '' as an element of F5"),
+])
+def test_non_canonical_spellings_fail_as_before(spec, s, message):
+    with pytest.raises(FieldError) as info:
+        field_from_spec(spec).parse(s)
+    assert str(info.value) == message
+
+
 def test_tables_are_built_without_polynomial_products(monkeypatch):
     # the package multiplies no polynomials at all, and the table build
     # reduces none either
