@@ -343,10 +343,8 @@ def to_straight_form(A: StructureMatrix):
     """
     from .iso import Transform
 
-    dec = A.field.element_of_code
-    for x, y, z, w, params in straight_bases(A.field.tables(), A.codes()):
-        return (SParams.from_codes(A.field, params),
-                Transform(dec(x), dec(y), dec(z), dec(w)))
+    for *xc, params in straight_bases(A.field.tables(), A.codes()):
+        return SParams.from_codes(A.field, params), Transform.from_codes(A.field, xc)
     return None
 
 
@@ -411,6 +409,12 @@ def type_of(S: SParams) -> AlgebraType:
     """
     if not is_endo_commutative_straight(S):
         raise NotEndoCommutative(f"{S} is not endo-commutative")
+    return pattern_type(S)
+
+
+def pattern_type(S: SParams) -> AlgebraType:
+    """The type of S read from the zero pattern of (p, a, c), for an
+    S-form already known to be endo-commutative."""
     return _TYPE_BY_PATTERN[(bool(S.p), bool(S.a), bool(S.c))]
 
 

@@ -23,8 +23,10 @@ The scan refuses a field on which it would visit more than
 MAX_SCAN_TUPLES tuples, so the admitted fields follow from that one
 number (type II1 and `verify`: q <= 49; III: q <= 25; I: q <= 128).
 
-The subclass inventory cross-validates the closed-form parametrizations
-of the four (b, q, d)-strata against the direct scan.
+The subclass inventory cross-validates the closed form of the four
+(b, q, d)-strata against the direct scan: `_ii1_closed_form` writes the
+whole type-II1 set on codes in O(q^2) steps over every finite field,
+and the scan visits q^3 (q-1)^2 tuples under the guard.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .algebra import (SParams, _TYPE_BY_PATTERN, _ec_straight_codes, _ii1_stratum,
-                      is_endo_commutative_straight, AlgebraType)
+                      is_endo_commutative_straight, pattern_type, AlgebraType)
 from .equiv import RelationId, rep_system
-from .fields import Field, FieldElement
+from .fields import Field, FieldElement, FieldTables
 from .iso import Transform, sform_orbit, sform_witness
 
 # the type-II1 scan over F49, about 73 s at 270-290 ns per tuple
@@ -104,49 +106,75 @@ class SubclassInventory:
     scan_all: list[SParams]
 
 
-def _closed_form_subclasses(field: Field) -> dict[int, list[SParams]]:
-    zero = field.zero()
-    one = field.one()
-    units = [el for el in field.elements() if el]
-    char2 = field.characteristic() == 2
+def _ii1_closed_form(t: FieldTables) -> list[tuple[int, ...]]:
+    """Codes of every endo-commutative type-II1 S-form, sorted and free of
+    duplicates, from the closed form of its four (b, q, d)-strata: O(q^2).
 
-    def dedup(items):
-        seen = {}
-        for sp in items:
-            seen.setdefault(sp.codes(), sp)
-        return [sp for _, sp in sorted(seen.items())]
-
-    sub1 = [SParams(zero, a, a, zero, -a, d) for a in units for d in units]
-    signs = (one,) if char2 else (one, -one)
-    sub1 += [SParams(zero, eps * a, a, zero, delta * a, zero)
-             for a in units for eps in signs for delta in signs]
-
-    sub3 = [SParams(zero, -a, a, b, -a, zero) for a in units for b in units]
-
-    if char2:
-        sub4 = [SParams(zero, q, a, b, a, b)
-                for q in units for a in units for b in units
-                if q * q + a * a + q * b * b == zero]
+    With p = 0 and a, c != 0 the five equations of `_ec_straight_codes`
+    read
+      E1: ab(a + c) = 0,              E2: q(a + c)(b - d) = 0,
+      E3: a^2 = c^2,                  E4: q^2 = a^2 + qb^2 + ab^2 + abd,
+      E5: q(d - b) = ab - cd.
+    E3 gives c = +-a.  For c = a != -a (odd characteristic), E1 forces
+    b = 0, E4 gives q = +-a, and E2, with q != 0, forces d = 0.  For
+    c = -a, E1 and E2 hold, E5 reads q(d - b) = a(b + d), and:
+      - b = 0 (stratum 1): E4 gives q = +-a and E5 gives d(q - a) = 0,
+        so q = a with any d, or q = -a with d = 0.  With the c = a
+        solutions: (0, a, a, 0, -a, d) for every d, and
+        (0, eps a, a, 0, delta a, 0) for eps, delta = +-1;
+      - b != 0, q = 0 (stratum 2): E5 gives a(b + d) = 0, so d = -b,
+        and then E4 reads a^2 = 0: empty;
+      - b, q != 0, d = 0 (stratum 3): E5 gives q = -a, and E4 then
+        holds: (0, -a, a, b, -a, 0);
+      - b, q, d != 0 (stratum 4), odd characteristic: d = b or d = -b
+        makes E5 give 2ab = 0 or 2bq = 0, so d != +-b and q = ak with
+        k = (b + d)/(d - b).  E4 becomes a(k^2 - 1) = b^2(k + 1) + bd,
+        and k^2 - 1 = 4bd/(d - b)^2 != 0, so a = (d^2 - b^2)/4 and
+        q = (b + d)^2/4: (0, (b+d)^2/4, (d^2-b^2)/4, b, -(d^2-b^2)/4, d);
+      - b, q, d != 0, characteristic 2: E5 reads (q + a)(b + d) = 0, and
+        q = a turns E4 into abd = 0, so d = b, q != a and E4 reads
+        a^2 = q(q + b^2).  Squaring is one-to-one, so a is the square
+        root of q(q + b^2), nonzero exactly when q != b^2:
+        (0, q, a, b, a, b).
+    """
+    n, add, mul, neg = t.q, t.add, t.mul, t.neg
+    units = range(1, n)
+    signs = {1, neg[1]}
+    out = {(0, a, a, 0, neg[a], d) for a in units for d in range(n)}
+    out.update((0, mul[eps][a], a, 0, mul[delta][a], 0)
+               for a in units for eps in signs for delta in signs)
+    out.update((0, neg[a], a, b, neg[a], 0) for a in units for b in units)
+    if t.p == 2:
+        for b in units:
+            bb = mul[b][b]
+            for q in units:
+                a = t.square_root(mul[q][add[q][bb]])
+                if a:
+                    out.add((0, q, a, b, a, b))
     else:
-        quarter = field.from_int(4).inverse()
-        sub4 = []
+        quarter = t.inv[add[add[1][1]][add[1][1]]]
         for b in units:
             for d in units:
-                if d == b or d == -b:
-                    continue
-                a = (d * d - b * b) * quarter
-                sub4.append(SParams(zero, (b + d) * (b + d) * quarter, a, b, -a, d))
+                if d != b and d != neg[b]:
+                    a = mul[t.sub[mul[d][d]][mul[b][b]]][quarter]
+                    s = add[b][d]
+                    out.add((0, mul[mul[s][s]][quarter], a, b, neg[a], d))
+    return sorted(out)
 
-    return {1: dedup(sub1), 2: [], 3: dedup(sub3), 4: dedup(sub4)}
+
+def _by_stratum(algebras) -> dict[int, list[SParams]]:
+    """Type-II1 S-forms split by their (b, q, d) stratum, in input order."""
+    strata: dict[int, list[SParams]] = {1: [], 2: [], 3: [], 4: []}
+    for sp in algebras:
+        strata[_ii1_stratum(sp)].append(sp)
+    return strata
 
 
 def enumerate_subclasses(field: Field) -> SubclassInventory:
     """Both productions of the four subclasses (closed form and scan)."""
     scan = enumerate_type_ii1(field)
-    direct: dict[int, list[SParams]] = {1: [], 2: [], 3: [], 4: []}
-    for sp in scan:
-        direct[_ii1_stratum(sp)].append(sp)
-    return SubclassInventory(field, _closed_form_subclasses(field), direct, scan)
+    closed = [SParams.from_codes(field, codes) for codes in _ii1_closed_form(field.tables())]
+    return SubclassInventory(field, _by_stratum(closed), _by_stratum(scan), scan)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +416,7 @@ def verify_classification(field: Field) -> ClassificationReport:
     for label, sp in predicted:
         if not is_endo_commutative_straight(sp):
             failures.append(f"predicted {label} = {sp} is not endo-commutative")
-        elif _TYPE_BY_PATTERN[(bool(sp.p), bool(sp.a), bool(sp.c))] is not AlgebraType.II_1:
+        elif pattern_type(sp) is not AlgebraType.II_1:
             failures.append(f"predicted {label} = {sp} is not of type II1")
 
     classes = iso_classes(scan)
@@ -400,14 +428,14 @@ def verify_classification(field: Field) -> ClassificationReport:
                 f"orbit-stabilizer check: class {ci} has {orbit} S-forms and "
                 f"{cls.automorphisms} automorphisms but {cls.generators} straight generators")
         for sp in cls.outside:
-            if _TYPE_BY_PATTERN[(bool(sp.p), bool(sp.a), bool(sp.c))] is AlgebraType.II_1:
+            if pattern_type(sp) is AlgebraType.II_1:
                 failures.append(
                     f"orbit-stabilizer check: class {ci} reaches the type-II1 "
                     f"S-form {sp}, which is absent from the scan")
 
     member_to_class = {sp.codes(): ci for ci, cls in enumerate(classes) for sp in cls.members}
 
-    t, dec = field.tables(), field.element_of_code
+    t = field.tables()
     matching: list[MatchEntry] = []
     seen_class: dict[int, FamilyLabel] = {}
     for label, sp in predicted:
@@ -422,7 +450,7 @@ def verify_classification(field: Field) -> ClassificationReport:
         seen_class[ci] = label
         # sp lies in the orbit of the representative, so a witness exists
         xc = sform_witness(t, (0, 1) + classes[ci].representative.codes(), sp.codes())
-        matching.append(MatchEntry(label, sp, ci, Transform(*map(dec, xc))))
+        matching.append(MatchEntry(label, sp, ci, Transform.from_codes(field, xc)))
 
     if len(classes) != len(predicted):
         failures.append(

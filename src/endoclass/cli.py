@@ -27,8 +27,8 @@ import os
 import sys
 
 from . import __version__
-from .algebra import (SParams, _TYPE_BY_PATTERN, is_endo_commutative_straight,
-                      multiplication_table_text, rank)
+from .algebra import (SParams, is_endo_commutative_straight, multiplication_table_text,
+                      pattern_type, rank)
 from .classify import (_TYPE_ALIASES, enumerate_type, iso_classes, verify_classification)
 from .equiv import (MAX_DEGREE_BOUND, RelationId, UnsupportedRelation,
                     bounded_refutation_search, related, rep_system)
@@ -193,7 +193,7 @@ def cmd_table(args) -> int:
     sp = _parse_sparams(field, args.algebra)
     matrix = sp.to_structure_matrix()
     ec = is_endo_commutative_straight(sp)
-    tp = _TYPE_BY_PATTERN[(bool(sp.p), bool(sp.a), bool(sp.c))].value if ec else None
+    tp = pattern_type(sp).value if ec else None
     if args.format == "json":
         _emit_json({"field": field.spec_string(), "params": sp.to_json(),
                     "table": multiplication_table_text(matrix),

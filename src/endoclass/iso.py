@@ -80,6 +80,11 @@ class Transform:
         conv = lambda v: v if isinstance(v, FieldElement) else field.from_int(v)
         return cls(conv(x), conv(y), conv(z), conv(w))
 
+    @classmethod
+    def from_codes(cls, field: Field, codes) -> "Transform":
+        dec = field.element_of_code
+        return cls(*(dec(c) for c in codes))
+
     def inverse(self) -> "Transform":
         di = self.det().inverse()
         return Transform(self.w * di, -self.y * di, -self.z * di, self.x * di)
@@ -343,7 +348,4 @@ def are_isomorphic(A: StructureMatrix, A2: StructureMatrix):
     else:
         found = next(((x, y, z, w) for x, y, z, w, L in gl2_lifted(A.field)
                       if apply_transform_codes(t, L, src, x, y, z, w) == target), None)
-    if found is None:
-        return None
-    dec = A.field.element_of_code
-    return Transform(*(dec(c) for c in found))
+    return None if found is None else Transform.from_codes(A.field, found)

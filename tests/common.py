@@ -5,6 +5,8 @@ parametrized S-form families."""
 from endoclass import (RelationId, SParams, Transform, field_from_spec,
                        is_square, related)
 
+SMALL_FIELDS = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16", "F17"]
+
 
 def F(spec):
     return field_from_spec(spec)

@@ -9,6 +9,8 @@ from endoclass import (AlgebraType, FieldMismatchError, InfiniteFieldError,
                        is_endo_commutative_straight, multiplication_table_text,
                        multiply, rank, to_straight_form, transform, type_of)
 
+from endoclass.algebra import pattern_type
+
 from common import el, sp
 
 F2 = field_from_spec("F2")
@@ -286,6 +288,15 @@ def test_type_of_examples():
     assert type_of(sp(F3, 1, 0, 0, 1, 1, 0)) is AlgebraType.II_2
     assert type_of(sp(F3, 1, 0, 1, 0, 0, 1)) is AlgebraType.II_3
     assert type_of(sp(F3, 1, 2, 1, 0, 1, 0)) is AlgebraType.III
+
+
+def test_pattern_type_reads_the_zero_pattern_only():
+    # the check of endo-commutativity is the caller's
+    assert pattern_type(sp(F5, 0, 1, 1, 0, -1, 2)) is AlgebraType.II_1
+    assert pattern_type(sp(F3, 1, 2, 1, 0, 1, 0)) is AlgebraType.III
+    non_ec = sp(F3, 0, 0, 1, 1, 0, 0)
+    assert not is_endo_commutative_straight(non_ec)
+    assert pattern_type(non_ec) is AlgebraType.I_010
 
 
 def test_type_of_rejects_non_ec():

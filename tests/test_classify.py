@@ -6,7 +6,10 @@ from endoclass import (AlgebraType, FamilyLabel, InfiniteFieldError, OversizedFi
                        is_endo_commutative_straight, iso_classes, theorem_families, transform,
                        type_of, verify_classification)
 
-from common import CHAR2_CATALOG, ScanStarted, forbid_scan, sp
+from endoclass.algebra import _TYPE_BY_PATTERN, _ec_straight_codes
+from endoclass.classify import _ii1_closed_form
+
+from common import CHAR2_CATALOG, SMALL_FIELDS, ScanStarted, forbid_scan, sp
 
 F2 = field_from_spec("F2")
 F3 = field_from_spec("F3")
@@ -28,14 +31,34 @@ SUBCLASS_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("spec", ["F2", "F3", "F4", "F5"])
+@pytest.mark.parametrize("spec", SMALL_FIELDS + ["F5^1/x+2"])
 def test_inventory_closed_form_equals_scan(spec):
     inv = enumerate_subclasses(field_from_spec(spec))
     for k in (1, 2, 3, 4):
-        closed = sorted(s.codes() for s in inv.closed_form[k])
-        scanned = sorted(s.codes() for s in inv.direct_scan[k])
+        closed = [s.codes() for s in inv.closed_form[k]]
+        scanned = [s.codes() for s in inv.direct_scan[k]]
         assert closed == scanned, f"subclass {k}"
-        assert len(inv.closed_form[k]) == SUBCLASS_COUNTS[spec][k]
+        if spec in SUBCLASS_COUNTS:
+            assert len(closed) == SUBCLASS_COUNTS[spec][k]
+
+
+def test_ii1_closed_form_beyond_the_scan():
+    # past the scan guard: each tuple passes the closed-form system and
+    # has the II1 pattern, every predicted family member is there, and
+    # the count fits (q-1)(3q-1) for odd q and 3(q-1)^2 for even q, an
+    # observation on every field up to 256, not a result of the paper
+    for spec in ("F49", "F64", "F81", "F97", "F125", "F128", "F243", "F256"):
+        field = field_from_spec(spec)
+        t, q = field.tables(), field.order()
+        closed = _ii1_closed_form(t)
+        assert closed == sorted(set(closed)), spec
+        for codes in closed:
+            assert _ec_straight_codes(t, *codes), (spec, codes)
+            assert _TYPE_BY_PATTERN[(codes[0] != 0, codes[2] != 0, codes[4] != 0)] \
+                is AlgebraType.II_1, (spec, codes)
+        assert len(closed) == ((q - 1) * (3 * q - 1) if q % 2 else 3 * (q - 1) ** 2), spec
+        members = {sp_.codes() for _, sp_ in theorem_families(field)}
+        assert members <= set(closed), spec
 
 
 @pytest.mark.parametrize("spec", ["F2", "F3", "F4", "F5"])

@@ -47,9 +47,8 @@ from endoclass.fields import (FieldTables, _format_poly, _parse_poly, _poly_from
                               _poly_mod, _poly_to_code, _poly_trim)
 from endoclass.iso import apply_transform_codes, gl2_lifted, sform_orbit, sform_witness
 
-from common import poly_mul, random_element, tr
+from common import SMALL_FIELDS, poly_mul, random_element, tr
 
-SMALL_FIELDS = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16", "F17"]
 FIELDS_UP_TO_64 = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16", "F17",
                    "F19", "F23", "F25", "F27", "F29", "F31", "F32", "F37", "F41", "F43",
                    "F47", "F49", "F53", "F59", "F61", "F64"]

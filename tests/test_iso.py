@@ -140,6 +140,15 @@ def test_transform_composition():
         assert transform(transform(A, X), Y) == transform(A, X @ Y)
 
 
+def test_transform_from_codes_round_trips():
+    F256 = field_from_spec("F256")
+    X = Transform.from_codes(F256, (3, 200, 0, 255))
+    assert X.codes() == (3, 200, 0, 255)
+    assert Transform.from_codes(F5, (1, 2, 0, 4)) == tr(F5, 1, 2, 0, 4)
+    with pytest.raises(SingularTransformError):
+        Transform.from_codes(F5, (1, 2, 2, 4))
+
+
 def test_transform_field_mismatch():
     A = sp(F5, 0, 1, 1, 0, -1, 2).to_structure_matrix()
     with pytest.raises(FieldMismatchError):
