@@ -31,7 +31,7 @@ and the scan visits q^3 (q-1)^2 tuples under the guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import product
 
 from .algebra import (SParams, _TYPE_BY_PATTERN, _ec_straight_codes, _ii1_stratum,
@@ -172,7 +172,7 @@ def _by_stratum(algebras) -> dict[int, list[SParams]]:
 
 def enumerate_subclasses(field: Field) -> SubclassInventory:
     """Both productions of the four subclasses (closed form and scan)."""
-    scan = enumerate_type_ii1(field)
+    scan = [SParams.from_codes(field, codes) for codes in _scan(field, (AlgebraType.II_1,))]
     closed = [SParams.from_codes(field, codes) for codes in _ii1_closed_form(field.tables())]
     return SubclassInventory(field, _by_stratum(closed), _by_stratum(scan), scan)
 
@@ -183,8 +183,9 @@ def enumerate_subclasses(field: Field) -> SubclassInventory:
 
 @dataclass
 class IsoClass:
-    """One isomorphism class: representative is the enumeration-least
-    member, and members lists the partitioned algebras in its orbit.
+    """One isomorphism class: members lists the partitioned algebras in
+    its orbit in input order, so the representative, the
+    enumeration-least member, is the first.
 
     generators counts the straight generators of the representative and
     automorphisms those carrying it onto itself; outside lists the
@@ -192,12 +193,15 @@ class IsoClass:
     the type-II1 scan: presentations of other types).
     """
 
-    representative: SParams
     members: list[SParams]
     member_indices: list[int]
     generators: int
     automorphisms: int
     outside: list[SParams]
+
+    @property
+    def representative(self) -> SParams:
+        return self.members[0]
 
     def to_json(self, index: int) -> dict:
         return {"index": index,
@@ -210,8 +214,11 @@ def iso_classes(algebras) -> list[IsoClass]:
     """Partition S-form algebras into isomorphism classes.
 
     Each class is the orbit of its enumeration-least member, the seed,
-    found by one `sform_orbit` scan.  `are_isomorphic(seed, member)`
-    gives the least witness of a member on demand.
+    found by one `sform_orbit` scan of the seed's params.  The seed is
+    its class's first member: x = e rewrites it onto itself, and an
+    earlier member of its orbit would have put the seed in that
+    member's class.  `are_isomorphic(seed, member)` gives the least
+    witness of a member on demand.
     """
     algebras = list(algebras)
     if not algebras:
@@ -230,12 +237,11 @@ def iso_classes(algebras) -> list[IsoClass]:
     for i, seed in enumerate(algebras):
         if assigned[i]:
             continue
-        orbit, generators, automorphisms = sform_orbit(t, (0, 1) + seed.codes())
+        orbit, generators, automorphisms = sform_orbit(t, seed.codes())
         hits = sorted(j for params in orbit for j in positions.get(params, ()))
         for j in hits:
             assigned[j] = True
         out.append(IsoClass(
-            representative=seed,
             members=[algebras[j] for j in hits],
             member_indices=hits,
             generators=generators,
@@ -258,25 +264,19 @@ class FamilyLabel:
     eps: int | None = None
     delta: int | None = None
 
+    def _fields(self) -> list[tuple[str, FieldElement | int]]:
+        """(name, value) of each parameter the label carries, in order."""
+        return [(name, v) for name, v in (("t", self.t), ("eps", self.eps), ("delta", self.delta))
+                if v is not None]
+
     def __str__(self):
-        parts = []
-        if self.t is not None:
-            parts.append(f"t={self.t}")
-        if self.eps is not None:
-            parts.append(f"eps={self.eps:+d}")
-        if self.delta is not None:
-            parts.append(f"delta={self.delta:+d}")
+        parts = [f"{name}={v}" if name == "t" else f"{name}={v:+d}"
+                 for name, v in self._fields()]
         return self.tag + (f"({', '.join(parts)})" if parts else "")
 
     def to_json(self) -> dict:
-        obj: dict = {"tag": self.tag}
-        if self.t is not None:
-            obj["t"] = str(self.t)
-        if self.eps is not None:
-            obj["eps"] = self.eps
-        if self.delta is not None:
-            obj["delta"] = self.delta
-        return obj
+        return {"tag": self.tag, **{name: str(v) if name == "t" else v
+                                    for name, v in self._fields()}}
 
 
 def theorem_families(field: Field) -> list[tuple[FamilyLabel, SParams]]:
@@ -351,8 +351,11 @@ class ClassificationReport:
     predicted: list[tuple[FamilyLabel, SParams]]
     classes: list[IsoClass]
     matching: list[MatchEntry]
-    verdict: bool
-    failures: list[str] = dc_field(default_factory=list)
+    failures: list[str]
+
+    @property
+    def verdict(self) -> bool:
+        return not self.failures
 
     @property
     def counts(self) -> dict:
@@ -461,8 +464,7 @@ def verify_classification(field: Field) -> ClassificationReport:
                 f"class {ci} (representative {classes[ci].representative}) "
                 f"matches no predicted family")
 
-    return ClassificationReport(field, predicted, classes, matching,
-                                verdict=not failures, failures=failures)
+    return ClassificationReport(field, predicted, classes, matching, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -488,4 +490,4 @@ def enumerate_type(field: Field, type_name: str, subclass: int | None = None) ->
         return [SParams.from_codes(field, codes)
                 for codes in _scan(field, _TYPE_ALIASES[type_name])]
     scan = enumerate_type_ii1(field)
-    return scan if subclass is None else [sp for sp in scan if _ii1_stratum(sp) == subclass]
+    return scan if subclass is None else _by_stratum(scan)[subclass]

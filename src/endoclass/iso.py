@@ -24,11 +24,12 @@ powers of lam.
 `_landings` solves for the lam that carries a rewrite onto one target,
 from the target's b or d, so each rewrite costs at most one scaling, or
 q - 1 in the rare case b = d = 0.  `sform_witness` takes the least of
-its X, and `sform_orbit` counts automorphisms with it.  `sform_orbit`
-builds the plain set of the orbit for the isomorphism partition, and
-expands each scaling class of rewrites once.  Any other target falls
-back to enumerating all (q^2-1)(q^2-q) invertible matrices
-in lexicographic order.  All of these run on integer codes.
+its X.  `sform_orbit` takes the params of one S-form, builds the plain
+set of its orbit for the isomorphism partition, expanding each scaling
+class of rewrites once, and counts its automorphisms with `_landings`.
+Any other target falls back to enumerating all (q^2-1)(q^2-q)
+invertible matrices in lexicographic order.  All of these run on
+integer codes.
 """
 
 from __future__ import annotations
@@ -296,13 +297,14 @@ def _landings(t: FieldTables, bases, target):
                 yield (i1[x], i2[y], i1[z], i2[w])
 
 
-def sform_orbit(t: FieldTables, m):
-    """The S-forms isomorphic to the algebra with structure codes m.
+def sform_orbit(t: FieldTables, params):
+    """The S-forms isomorphic to the S-form with (p, q, a, b, c, d) codes
+    `params`.
 
     Returns (orbit, generators, automorphisms): `orbit` is the set of
     (p, q, a, b, c, d) codes of those S-forms, `generators` counts the
-    straight generators of m and `automorphisms` those that carry m onto
-    itself (0 unless m is an S-form).
+    straight generators of S(params) and `automorphisms` those that
+    carry it onto itself.
 
     The scalings of one base's params form its scaling class.  A base
     whose params are already in the set lies in a class that is already
@@ -310,18 +312,16 @@ def sform_orbit(t: FieldTables, m):
     so each S-form is added once.
     """
     n, mul = t.q, t.mul
-    bases = list(straight_bases(t, m))
+    bases = list(straight_bases(t, (0, 1) + params))
     scales = [(mul[lam], mul[mul[lam][lam]], mul[mul[mul[lam][lam]][lam]])
               for lam in range(1, n)]
     orbit: set[tuple] = set()
-    for *_, params in bases:
-        if params in orbit:
+    for *_, base in bases:
+        if base in orbit:
             continue
-        p, q, a, b, c, d = params
+        p, q, a, b, c, d = base
         orbit.update((m3[p], m2[q], m2[a], m1[b], m2[c], m1[d]) for m1, m2, m3 in scales)
-    own = m[2:] if m[:2] == (0, 1) else None
-    automorphisms = 0 if own is None else sum(1 for _ in _landings(t, bases, own))
-    return orbit, (n - 1) * len(bases), automorphisms
+    return orbit, (n - 1) * len(bases), sum(1 for _ in _landings(t, bases, params))
 
 
 def sform_witness(t: FieldTables, m, target):
