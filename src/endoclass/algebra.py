@@ -242,30 +242,33 @@ def is_endo_commutative_straight(S: SParams) -> bool:
         return False
     if p * (c - a) != (b - d) * (p * (b + d) - q * (a + c)):
         return False
-    if p * (d - b) != a * a - c * c:
+    if p * d + c * c != p * b + a * a:
         return False
     if q * q + p * d != a * a + q * b * b + a * b * b + a * b * d:
         return False
-    if q * (d - b) != a * b - c * d:
+    if q * d + c * d != q * b + a * b:
         return False
     return True
 
 
 def _ec_straight_codes(t: FieldTables, pc, qc, ac, bc, cc, dc) -> bool:
-    """Table-driven version of the closed-form condition, for scans."""
-    add, sub, mul = t.add, t.sub, t.mul
+    """Table-driven version of the closed-form condition, for scans: the
+    two sides of each equation as `is_endo_commutative_straight` writes
+    them, with x - y read as x + (-y)."""
+    add, mul, neg = t.add, t.mul, t.neg
     aa = mul[ac][ac]
     ab = mul[ac][bc]
-    if sub[add[mul[pc][qc]][mul[pc][cc]]][add[mul[pc][mul[bc][bc]]][add[mul[aa][bc]][mul[ab][cc]]]]:
+    if add[mul[pc][qc]][mul[pc][cc]] != add[mul[pc][mul[bc][bc]]][add[mul[aa][bc]][mul[ab][cc]]]:
         return False
-    if sub[mul[pc][sub[cc][ac]]][mul[sub[bc][dc]][sub[mul[pc][add[bc][dc]]][mul[qc][add[ac][cc]]]]]:
+    if (mul[pc][add[cc][neg[ac]]]
+            != mul[add[bc][neg[dc]]][add[mul[pc][add[bc][dc]]][neg[mul[qc][add[ac][cc]]]]]):
         return False
-    if sub[mul[pc][sub[dc][bc]]][sub[aa][mul[cc][cc]]]:
+    if add[mul[pc][dc]][mul[cc][cc]] != add[mul[pc][bc]][aa]:
         return False
     bb = mul[bc][bc]
-    if sub[add[mul[qc][qc]][mul[pc][dc]]][add[add[aa][mul[qc][bb]]][add[mul[ac][bb]][mul[ab][dc]]]]:
+    if add[mul[qc][qc]][mul[pc][dc]] != add[add[aa][mul[qc][bb]]][add[mul[ac][bb]][mul[ab][dc]]]:
         return False
-    if sub[mul[qc][sub[dc][bc]]][sub[ab][mul[cc][dc]]]:
+    if add[mul[qc][dc]][mul[cc][dc]] != add[mul[qc][bc]][ab]:
         return False
     return True
 
@@ -281,18 +284,19 @@ def straight_rewrite(t: FieldTables, m: tuple[int, ...], u: int, v: int):
     codes are params.  None when {x, x^2} is not a basis (x = 0 or x^2
     in the span of x).
     """
-    add, sub, mul, neg, inv = t.add, t.sub, t.mul, t.neg, t.inv
+    add, mul, inv = t.add, t.mul, t.inv
     r1e, r1f, r2e, r2f, r3e, r3f, r4e, r4f = m
     s, s2 = _square(t, m, u, v)
-    det = sub[mul[u][s2]][mul[v][s]]
+    nv, ns = t.neg[v], t.neg[s]
+    det = add[mul[u][s2]][mul[nv][s]]
     if not det:
         return None
     di = inv[det]
 
     def coords(ce, cf):
         # old coordinates (ce, cf) in the basis {x, x^2}
-        return (mul[sub[mul[ce][s2]][mul[cf][s]]][di],
-                mul[sub[mul[u][cf]][mul[v][ce]]][di])
+        return (mul[add[mul[ce][s2]][mul[cf][ns]]][di],
+                mul[add[mul[u][cf]][mul[nv][ce]]][di])
 
     p_, q_ = coords(*_square(t, m, s, s2))  # x^2 * x^2
     # x * x^2 and x^2 * x share their e*e and f*f terms
@@ -305,7 +309,7 @@ def straight_rewrite(t: FieldTables, m: tuple[int, ...], u: int, v: int):
                     add[sf][add[mul[vs][r3f]][mul[us2][r4f]]])
     # M = ((u, s), (v, s2)) has the new basis x, x^2 as columns;
     # X = (M^-1)^T has the old basis in new coordinates as rows
-    return (mul[s2][di], mul[neg[v]][di], mul[neg[s]][di], mul[u][di],
+    return (mul[s2][di], mul[nv][di], mul[ns][di], mul[u][di],
             (p_, q_, a_, b_, c_, d_))
 
 

@@ -61,10 +61,9 @@ def _scan(field: Field, types) -> list[tuple[int, ...]]:
     zero code or to the nonzero codes.  Refused before any work when the
     tuples to visit exceed MAX_SCAN_TUPLES.
     """
-    q = field.order()
-    if q is None:
-        field.tables()  # raises InfiniteFieldError
-    # with p = 0, E3 (p(d - b) = a^2 - c^2) reads a^2 = c^2: a and c vanish
+    t = field.tables()  # raises InfiniteFieldError
+    q = t.q
+    # with p = 0, E3 (pd + c^2 = pb + a^2) reads a^2 = c^2: a and c vanish
     # together, so the patterns of I.001 and I.010 hold no algebra
     patterns = [pat for pat, tp in _TYPE_BY_PATTERN.items()
                 if tp in types and (pat[0] or pat[1] == pat[2])]
@@ -73,7 +72,6 @@ def _scan(field: Field, types) -> list[tuple[int, ...]]:
         raise OversizedFieldError(
             f"the type-{'/'.join(tp.value for tp in types)} scan over {field.spec_string()} "
             f"would visit {visits:,} tuples, more than the guard of {MAX_SCAN_TUPLES:,}")
-    t = field.tables()
     full = range(q)
     out = []
     for p_nz, a_nz, c_nz in patterns:
@@ -156,7 +154,7 @@ def _ii1_closed_form(t: FieldTables) -> list[tuple[int, ...]]:
         for b in units:
             for d in units:
                 if d != b and d != neg[b]:
-                    a = mul[t.sub[mul[d][d]][mul[b][b]]][quarter]
+                    a = mul[add[mul[d][d]][neg[mul[b][b]]]][quarter]
                     s = add[b][d]
                     out.add((0, mul[mul[s][s]][quarter], a, b, neg[a], d))
     return sorted(out)

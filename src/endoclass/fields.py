@@ -12,13 +12,16 @@ Four kinds of field are supported:
 A finite-field element is its code: the integer n in [0, q) whose
 base-p digits are the element's coefficients, little-endian, so code 0
 is zero, code 1 is one, and the rest follow in lexicographic
-coefficient order.  All arithmetic on codes is lookup in one set of
-dense tables per field (`FieldTables`), which both the hot loops
-(exhaustive scans, orbit searches) and the `FieldElement` layer use.
-Coefficients appear only where the tables are built and where a
-polynomial is parsed; elements print from one string table per field.
-`field_make` interns its handles, so the tables of a field are built
-once per process.
+coefficient order.  All arithmetic on codes is lookup in the five
+dense tables of the field (`FieldTables`: add, mul, neg, inv, square),
+which both the hot loops (exhaustive scans, orbit searches) and the
+`FieldElement` layer use; a difference is a sum with a negative.  The
+tables are built with the field, and the build is also its validity
+check: it finds a primitive element, which exists exactly when the
+modulus is irreducible.  Coefficients appear only where the tables are
+built and where a polynomial is parsed; elements print from one string
+table per field.  `field_make` interns its handles, so the tables of a
+field are built once per process.
 
 Field spec strings: "F5", "F2^2/x^2+x+1", "Q", "F2(X)".  Prime-power
 shorthands like "F4", "F8", "F9" pick the first irreducible modulus in
@@ -97,25 +100,6 @@ def _poly_mod(a, b, p):
             a[shift + i] = (a[shift + i] - coef * bi) % p
         a.pop()
     return _poly_trim(a)
-
-
-def _poly_is_irreducible(m, p):
-    """Exhaustive factor search: no monic divisor of degree 1..deg/2."""
-    k = len(m) - 1
-    for d in range(1, k // 2 + 1):
-        for code in range(p**d):
-            cand = _poly_from_code(code, p, d) + (1,)
-            if not _poly_mod(m, cand, p):
-                return False
-    return True
-
-
-def _poly_from_code(code: int, p: int, length: int) -> tuple[int, ...]:
-    digits = []
-    for _ in range(length):
-        code, r = divmod(code, p)
-        digits.append(r)
-    return tuple(digits)
 
 
 def _poly_to_code(coeffs, p: int) -> int:
@@ -198,7 +182,8 @@ class FieldDescriptor(NamedTuple):
     """Which field: kind plus (p, k, modulus) where applicable.
 
     The modulus is a monic degree-k coefficient tuple over F_p,
-    little-endian, irreducible (checked at construction time).
+    little-endian, irreducible (checked when `field_make` builds the
+    field's tables).
     """
 
     kind: str
@@ -400,7 +385,9 @@ class Field:
 
 
 class FieldTables:
-    """Dense lookup tables for one finite field, indexed by element code.
+    """The five lookup tables of one finite field, indexed by element code:
+    `add` and `mul` rows, and the `neg`, `inv` and `square` of each code.
+    There is no subtraction table: a - b is add[a][neg[b]].
 
     Each row is built whole, as one C-level gather of an earlier row, so
     a field costs O(q) Python-level steps.  The gather is
@@ -409,14 +396,15 @@ class FieldTables:
     `translate` needs (q <= 256), and the padding is never read.
     Addition works digit by digit on the base-p codes: if e = p^j is
     the place of the top digit of a, then a + b = (a - e) + (e + b), so
-    row a is row a - e gathered through row e.  In characteristic 2
-    `sub` is `add`.  Multiplication goes through the code-first
-    primitive element g: row g^(i+1) is row g^i gathered through row g,
-    1/g^i = g^(-i) and (g^i)^2 = g^(2i).  The finished rows are lists of
+    row a is row a - e gathered through row e.  Multiplication goes
+    through the code-first primitive element g: row g^(i+1) is row g^i
+    gathered through row g, 1/g^i = g^(-i) and (g^i)^2 = g^(2i).  The
+    search for g raises FieldError when the modulus is reducible, so
+    the tables exist only for a field.  The finished rows are lists of
     ints, which Python indexes faster than bytes.
     """
 
-    __slots__ = ("q", "p", "add", "sub", "mul", "neg", "inv", "square")
+    __slots__ = ("q", "p", "add", "mul", "neg", "inv", "square")
 
     def __init__(self, field: "FiniteFieldBase"):
         q = self.q = field.order()
@@ -435,11 +423,6 @@ class FieldTables:
             e = step
         self.neg = [row.index(0) for row in add]
         self.add = [list(row[:q]) for row in add]
-        if p == 2:
-            self.sub = self.add
-        else:
-            minus = bytes(self.neg) + ident[q:]
-            self.sub = [list(minus.translate(row)[:q]) for row in add]
 
         exp, times_g = _powers_of_primitive(field, self.add)
         by_g = bytes(times_g) + ident[q:]
@@ -465,7 +448,12 @@ def _powers_of_primitive(field: "FiniteFieldBase",
     the digits of b, so times_g is built through the `add` rows from the
     images g, wg, ..., w^(k-1)g of the digit places; w·x moves the
     digits of x up one place and turns the top digit d into d·w^k,
-    which the modulus gives (F_p is F_p[x]/(x), with k = 1)."""
+    which the modulus gives (F_p is F_p[x]/(x), with k = 1).
+
+    This search is the irreducibility check of the modulus m: F_p[x]/(m)
+    is a field, with a cyclic group of q - 1 units, exactly when m is
+    irreducible; otherwise it has zero divisors, fewer than q - 1 units,
+    and no element of order q - 1, so the search raises FieldError."""
     p, k, q = field.p, field.k, field.order()
     top = q // p
     # d·w^k = -d·(m_0 + m_1 w + ... + m_(k-1) w^(k-1)) for each digit d
@@ -483,21 +471,22 @@ def _powers_of_primitive(field: "FiniteFieldBase",
             x = times_g[x]
         if x == 1 and len(powers) == q - 1:
             return powers, times_g
-    raise AssertionError(f"{field.spec_string()} has no primitive element")  # pragma: no cover
+    raise FieldError(f"modulus {_format_poly(field.modulus, 'x')} is reducible over F{p}")
 
 
 class FiniteFieldBase(Field):
     """F_p[x]/(modulus) for F_p and F_{p^k}; payloads are element codes.
 
-    Every operation on codes is one lookup in `tables()`, printing one
-    in `element_strings()`, and parsing a printed string one in its
-    inverse, each built on first use.
+    Every operation on codes is one lookup in `tables()`, built with
+    the field (a reducible modulus raises FieldError there), printing
+    one in `element_strings()`, and parsing a printed string one in its
+    inverse, both built on first use.
     """
 
     def __init__(self, descriptor: FieldDescriptor, p: int, k: int, modulus: tuple[int, ...]):
         self.descriptor = descriptor
         self.p, self.k, self.modulus = p, k, modulus
-        self._tables: FieldTables | None = None
+        self._tables = FieldTables(self)
         self._strings: list[str] | None = None
         self._codes: dict[str, int] | None = None
 
@@ -508,8 +497,6 @@ class FiniteFieldBase(Field):
         return self.p
 
     def tables(self) -> FieldTables:
-        if self._tables is None:
-            self._tables = FieldTables(self)
         return self._tables
 
     def element_strings(self) -> list[str]:
@@ -542,21 +529,21 @@ class FiniteFieldBase(Field):
         return n % self.p
 
     def _add(self, a, b):
-        return self.tables().add[a][b]
+        return self._tables.add[a][b]
 
     def _sub(self, a, b):
-        return self.tables().sub[a][b]
+        return self._tables.add[a][self._tables.neg[b]]
 
     def _mul(self, a, b):
-        return self.tables().mul[a][b]
+        return self._tables.mul[a][b]
 
     def _neg(self, a):
-        return self.tables().neg[a]
+        return self._tables.neg[a]
 
     def _inv(self, a):
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self.spec_string()}")
-        return self.tables().inv[a]
+        return self._tables.inv[a]
 
     def code_of(self, el: FieldElement) -> int:
         return el.payload
@@ -758,11 +745,14 @@ def default_modulus(p: int, k: int) -> tuple[int, ...]:
 def field_make(spec: FieldDescriptor) -> Field:
     """The field handle of a descriptor, validating every invariant.
 
-    Handles are interned: equal descriptors give the same `Field`, so a
-    process builds each finite field's lookup tables once.  A descriptor
-    whose modulus is not reduced and monic maps to the handle of the
-    normalized one.  Only valid descriptors are cached: an invalid one
-    raises before anything is stored.
+    A finite field's lookup tables are built here, with its handle, and
+    that build rejects a reducible modulus (see `FieldTables`); the
+    other invariants are checked first.  Handles are interned: equal
+    descriptors give the same `Field`, so a process builds each finite
+    field's tables once.  A descriptor whose modulus is not reduced and
+    monic maps to the handle of the normalized one.  Only valid
+    descriptors are cached: an invalid one raises before anything is
+    stored.
     """
     if spec.kind == KIND_PRIME:
         p = spec.p
@@ -789,8 +779,6 @@ def field_make(spec: FieldDescriptor) -> Field:
             modulus = tuple(c * lead_inv % p for c in modulus)
         if not all(0 <= c < p for c in modulus):
             modulus = tuple(c % p for c in modulus)
-        if not _poly_is_irreducible(modulus, p):
-            raise FieldError(f"modulus {_format_poly(modulus, 'x')} is reducible over F{p}")
         if modulus != spec.modulus:
             return field_make(FieldDescriptor.extension(p, k, modulus))
         return ExtensionField(p, k, modulus)

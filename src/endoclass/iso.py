@@ -218,16 +218,13 @@ def check_iso_system(S: SParams, S2: SParams, X: Transform) -> bool:
 # coded search kernel
 # ---------------------------------------------------------------------------
 
-def gl2_order(q: int) -> int:
-    return (q * q - 1) * (q * q - q)
-
-
 def _lifted_inverse_codes(t: FieldTables, x: int, y: int, z: int, w: int):
     """Lift of X^(-1) as a flat 16-tuple of codes (det must be nonzero)."""
-    mul, sub, neg, inv = t.mul, t.sub, t.neg, t.inv
-    di = inv[sub[mul[x][w]][mul[y][z]]]
+    mul, neg = t.mul, t.neg
+    ny = neg[y]
+    di = t.inv[t.add[mul[x][w]][mul[ny][z]]]
     a = mul[w][di]
-    b = mul[neg[y]][di]
+    b = mul[ny][di]
     c = mul[neg[z]][di]
     d = mul[x][di]
     ab, cd, ac, bd, ad, bc = mul[a][b], mul[c][d], mul[a][c], mul[b][d], mul[a][d], mul[b][c]
@@ -241,7 +238,7 @@ def gl2_lifted(field: Field):
     """(x, y, z, w, lifted inverse) over all of GL2, in lexicographic
     code order."""
     t = field.tables()
-    q, mul, sub = t.q, t.mul, t.sub
+    q, mul = t.q, t.mul
     rng = range(q)
     for x in rng:
         mx = mul[x]
@@ -250,7 +247,7 @@ def gl2_lifted(field: Field):
             for z in rng:
                 yz = my[z]
                 for w in rng:
-                    if sub[mx[w]][yz]:
+                    if mx[w] != yz:
                         yield x, y, z, w, _lifted_inverse_codes(t, x, y, z, w)
 
 

@@ -42,6 +42,16 @@ def random_element(field, rng):
     return field.element_of_code(rng.randrange(field.order()))
 
 
+def _poly_from_code(code, p, length):
+    """The first `length` base-p digits of code, little-endian: the
+    coefficient tuple of the element with that code."""
+    digits = []
+    for _ in range(length):
+        code, r = divmod(code, p)
+        digits.append(r)
+    return tuple(digits)
+
+
 def poly_mul(a, b, p):
     """The product of two little-endian coefficient tuples over F_p."""
     if not a or not b:

@@ -364,6 +364,13 @@ def test_ii1_subclass_rejects_wrong_type():
         ii1_subclass(S)
 
 
+def test_ii1_subclass_rejects_endo_commutative_other_type():
+    S = sp(F3, 1, 0, 0, 0, 0, 0)
+    assert type_of(S) is AlgebraType.I_100
+    with pytest.raises(ValueError, match=r"^S\(1, 0, 0, 0, 0, 0\) is not of type II1$"):
+        ii1_subclass(S)
+
+
 # ---------------------------------------------------------------------------
 # serialization and rendering
 # ---------------------------------------------------------------------------

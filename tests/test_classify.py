@@ -121,6 +121,15 @@ def test_family_labels_carry_parameters():
 # iso_classes
 # ---------------------------------------------------------------------------
 
+def test_iso_classes_of_nothing_is_empty():
+    assert iso_classes([]) == []
+
+
+def test_iso_classes_needs_one_field():
+    with pytest.raises(ValueError, match="^all algebras must live over one field$"):
+        iso_classes([sp(F3, 0, 1, 1, 0, -1, 1), sp(F5, 0, 1, 1, 0, -1, 1)])
+
+
 def test_iso_classes_singleton():
     classes = iso_classes([sp(F5, 0, 1, 1, 0, -1, 2)])
     assert len(classes) == 1 and len(classes[0].members) == 1

@@ -181,6 +181,25 @@ def test_fields_listing(capsys):
     assert doc["characteristic"] == 2
 
 
+@pytest.mark.parametrize("argv, code, out", [
+    (["fields", "--field", "Q", "--format", "tsv"], 0, "Q\tinfinite\n"),
+    (["fields", "--field", "Q", "--format", "text"], 0, "Q: characteristic 0, order infinite\n"),
+    (["fields", "--field", "F4", "--format", "text"], 0,
+     "F2^2/x^2+x+1: characteristic 2, order 4\nelements: 0, 1, w, w+1\n"),
+    (["equiv", "--field", "F9", "--relation", "sim1", "--reps", "--format", "text"], 0,
+     "1\nw+1\n"),
+    (["equiv", "--field", "F2(X)", "--relation", "sim2", "--test", "X", "X^2",
+      "--degree-bound", "2", "--format", "text"], 0, "witness found (X)\n"),
+    (["equiv", "--field", "F2(X)", "--relation", "sim2", "--test", "X", "X+1",
+      "--degree-bound", "2", "--format", "text"], 1, "no witness up to bound 2\n"),
+    (["equiv", "--field", "F5", "--relation", "sim1", "--test", "1", "4", "--format", "text"], 0,
+     "related, witness 2\n"),
+    (["equiv", "--field", "Q", "--relation", "sim1", "--test", "2", "8", "--format", "text"], 0,
+     "related, witness 1/2\n")])
+def test_text_outputs(capsys, argv, code, out):
+    assert run_cli(capsys, *argv) == (code, out, "")
+
+
 # ---------------------------------------------------------------------------
 # errors and exit codes
 # ---------------------------------------------------------------------------

@@ -43,18 +43,18 @@ from endoclass.algebra import (_TYPE_BY_PATTERN, StructureMatrix, _ec_straight_c
 from endoclass.classify import _TYPE_ALIASES, enumerate_type, enumerate_type_ii1, iso_classes
 from endoclass.equiv import (RepSystem, UnsupportedRelation, _check_supported,
                              bounded_refutation_search, carrier_elements, rep_system)
-from endoclass.fields import (FieldTables, _format_poly, _parse_poly, _poly_from_code,
-                              _poly_mod, _poly_to_code, _poly_trim)
+from endoclass.fields import (FieldTables, _format_poly, _parse_poly, _poly_mod, _poly_to_code,
+                              _poly_trim)
 from endoclass.iso import apply_transform_codes, gl2_lifted, sform_orbit, sform_witness
 
-from common import SMALL_FIELDS, poly_mul, random_element, tr
+from common import SMALL_FIELDS, _poly_from_code, poly_mul, random_element, tr
 
 FIELDS_UP_TO_64 = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16", "F17",
                    "F19", "F23", "F25", "F27", "F29", "F31", "F32", "F37", "F41", "F43",
                    "F47", "F49", "F53", "F59", "F61", "F64"]
 FIELDS_ABOVE_64 = ["F67", "F71", "F73", "F79", "F81", "F83", "F89", "F97", "F121", "F125",
                    "F128", "F169", "F243", "F256"]
-TABLES = ("q", "p", "add", "sub", "mul", "neg", "inv")
+TABLES = ("q", "p", "add", "mul", "neg", "inv")
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +140,11 @@ def polynomial_ops(field):
             "neg": lambda a: enc(-x % p for x in dec(a))}
 
 
+def difference_table(t):
+    """a - b for every code pair, as add[a][neg[b]]."""
+    return [[row[nb] for nb in t.neg] for row in t.add]
+
+
 def polynomial_tables(field):
     """Every entry from `polynomial_ops`, with inv read off the mul rows."""
     q = field.order()
@@ -164,6 +169,7 @@ def test_tables_match_payload_arithmetic(spec):
     expected = polynomial_tables(field)
     for name in TABLES:
         assert getattr(t, name) == expected[name], name
+    assert difference_table(t) == expected["sub"]
 
 
 @pytest.mark.parametrize("spec", FIELDS_ABOVE_64)
@@ -177,7 +183,7 @@ def test_tables_match_field_elements_above_64(spec):
     for _ in range(2000):
         a, b = rng.randrange(q), rng.randrange(q)
         assert t.add[a][b] == ref["add"](a, b)
-        assert t.sub[a][b] == ref["sub"](a, b)
+        assert field._sub(a, b) == ref["sub"](a, b)
         assert t.mul[a][b] == ref["mul"](a, b)
         if b:
             assert ref["mul"](b, t.inv[b]) == 1
@@ -219,7 +225,6 @@ def log_antilog_tables(field):
     exp2 = exp + exp
     logs = log[1:]
     return {"q": q, "p": p, "add": add, "neg": neg,
-            "sub": [[row[nb] for nb in neg] for row in add],
             "mul": [[0] * q] + [[0] + [exp2[la + lb] for lb in logs] for la in logs],
             "inv": [None] + [exp[-la % (q - 1)] for la in logs]}
 
@@ -233,8 +238,7 @@ def test_tables_match_log_antilog_construction(spec):
     expected = log_antilog_tables(field)
     for name in TABLES:
         assert getattr(t, name) == expected[name], name
-    assert all(type(row) is list for name in ("add", "sub", "mul") for row in getattr(t, name))
-    assert (t.sub is t.add) == (field.characteristic() == 2)
+    assert all(type(row) is list for name in ("add", "mul") for row in getattr(t, name))
     assert list(t.square) == [row[c] for c, row in enumerate(expected["mul"])]
 
 
@@ -278,7 +282,8 @@ def full_straight_generators(t, m, points=None):
     """Every straight generator x = u e + v f rewritten in full (u cycling
     fastest), or only those at the (u, v) in `points`, through one table
     of the squares of all q^2 elements."""
-    q, add, sub, mul, neg, inv = t.q, t.add, t.sub, t.mul, t.neg, t.inv
+    q, add, mul, neg, inv = t.q, t.add, t.mul, t.neg, t.inv
+    sub = difference_table(t)
     r1e, r1f, r2e, r2f, r3e, r3f, r4e, r4f = m
     sqe, sqf = square_tables(t, m)
     if points is None:
@@ -323,7 +328,7 @@ def full_sform_orbit(generators, own):
 def orbit_seeds(field, rng):
     """Structure codes: every family member, random S-forms, random
     structures that are not S-forms, curled ones and the zero algebra."""
-    q, sub = field.order(), field.tables().sub
+    q, sub = field.order(), difference_table(field.tables())
     seeds = [(0, 1) + sp.codes() for _, sp in theorem_families(field)]
     seeds += [(0, 1) + tuple(rng.randrange(q) for _ in range(6)) for _ in range(5)]
     seeds += [tuple(rng.randrange(q) for _ in range(8)) for _ in range(5)]

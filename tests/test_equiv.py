@@ -128,6 +128,12 @@ def test_zero_outside_carrier():
         related(RelationId.SIM1, F7, F7.zero(), F7.one())
 
 
+def test_element_of_another_field_outside_carrier():
+    for t, t2 in ((F3.one(), F5.one()), (F5.one(), F3.one())):
+        with pytest.raises(CarrierError, match="^element does not belong to the given field$"):
+            related(RelationId.SIM1, F5, t, t2)
+
+
 def test_sim5_excludes_minus_four():
     with pytest.raises(CarrierError):
         related(RelationId.SIM5, Q, Q.from_int(-4), Q.from_int(2))
@@ -187,6 +193,8 @@ def test_rep_system_f2x_sim3():
     assert [str(r) for r in rs.representatives] == ["1", "X"]
     assert str(rs.representative_of(F2X.parse("X^3+X^2"))) == "X"
     assert str(rs.representative_of(F2X.parse("(X^2+1)/(X^4)"))) == "1"
+    with pytest.raises(CarrierError, match="^0 is not in the carrier$"):
+        rs.representative_of(F2X.zero())
     with pytest.raises(InfiniteFieldError):
         rs.classes()
 
@@ -281,6 +289,11 @@ def test_axioms_exhaustive_small_fields():
 def test_bounded_search_odd_powers_unrelated():
     assert bounded_refutation_search(
         F2X, RelationId.SIM2, F2X.parse("X^3"), F2X.parse("X^5"), 6) is None
+
+
+def test_bounded_search_rejects_a_negative_bound():
+    with pytest.raises(ValueError, match="^degree bound must be nonnegative$"):
+        bounded_refutation_search(F2X, RelationId.SIM2, F2X.parse("X"), F2X.one(), -1)
 
 
 def test_bounded_search_trivial_witness():

@@ -8,10 +8,9 @@ import pytest
 
 from endoclass import (FieldDescriptor, FieldError, FieldMismatchError,
                        InfiniteFieldError, field_from_spec, field_make, is_square)
-from endoclass.fields import (MAX_ORDER, MAX_PRIME, _format_poly, _is_prime,
-                              _poly_from_code, _poly_is_irreducible, default_modulus)
+from endoclass.fields import MAX_ORDER, MAX_PRIME, _format_poly, _is_prime, default_modulus
 
-from common import el, poly_mul
+from common import _poly_from_code, el, poly_mul
 
 PRIMES = [p for p in range(2, MAX_PRIME + 1) if _is_prime(p)]
 # the (p, k) of every prime-power shorthand, F4 to F256
@@ -65,6 +64,52 @@ def test_non_prime_rejected():
 def test_reducible_modulus_rejected():
     with pytest.raises(FieldError):
         field_make(FieldDescriptor.extension(2, 2, (1, 0, 1)))  # (x+1)^2
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("F4^2", "4 is not prime"),
+    ("F3^6", "unsupported extension field order 3^6"),
+    ("F2^0", "unsupported extension field order 2^0"),
+    ("F2^8/x^8+1", "modulus x^8+1 is reducible over F2"),
+    ("F3^2/x^2+2x+1", "modulus x^2+2x+1 is reducible over F3")])
+def test_extension_spec_errors(spec, message):
+    with pytest.raises(FieldError) as info:
+        field_from_spec(spec)
+    assert str(info.value) == message
+
+
+def test_explicit_degree_takes_the_default_modulus():
+    assert field_from_spec("F2^3") is field_from_spec("F8")
+    assert field_from_spec("F2^3").spec_string() == "F2^3/x^3+x+1"
+
+
+@pytest.mark.parametrize("p, k, modulus, message", [
+    (4, 2, (1, 1, 1), "4 is not prime"),
+    (2, 9, (1,) * 10, "extension degrees are supported up to 8, got 9"),
+    (3, 6, (2, 0, 0, 0, 0, 0, 1), "extension fields are supported up to order 256, got 729"),
+    (3, 2, (1, 0, 0, 1), "modulus must have degree 2")])
+def test_extension_descriptor_errors(p, k, modulus, message):
+    with pytest.raises(FieldError) as info:
+        field_make(FieldDescriptor.extension(p, k, modulus))
+    assert str(info.value) == message
+
+
+def test_table_build_rejects_exactly_the_reducible_moduli():
+    # every monic modulus of a field of order at most 128, against the
+    # products of two monic factors of lower degree
+    for p in (2, 3, 5, 7):
+        for k in range(1, 8):
+            if p**k > 128:
+                continue
+            monic = lambda d: [_poly_from_code(c, p, d) + (1,) for c in range(p**d)]
+            reducible = {poly_mul(a, b, p)
+                         for d in range(1, k // 2 + 1) for a in monic(d) for b in monic(k - d)}
+            for m in monic(k):
+                if m in reducible:
+                    with pytest.raises(FieldError, match="is reducible over"):
+                        field_make(FieldDescriptor.extension(p, k, m))
+                else:
+                    assert field_make(FieldDescriptor.extension(p, k, m)).modulus == m
 
 
 def test_bad_degree_rejected():
@@ -185,6 +230,9 @@ def test_is_square_matches_exhaustive_oracle():
 def test_is_square_zero():
     f5 = field_from_spec("F5")
     assert is_square(f5, f5.zero()) == (True, f5.zero())
+    for spec in ("Q", "F2(X)"):
+        f = field_from_spec(spec)
+        assert is_square(f, f.zero()) == (True, f.zero())
 
 
 def test_is_square_rational_bound():
@@ -293,6 +341,8 @@ def test_parse_errors():
     f5 = field_from_spec("F5")
     with pytest.raises(FieldError):
         f5.parse("w+1")
+    with pytest.raises(FieldError, match="^cannot parse 'abc' as a rational$"):
+        field_from_spec("Q").parse("abc")
     f2x = field_from_spec("F2(X)")
     with pytest.raises(FieldError):
         f2x.parse("X/0")
@@ -417,12 +467,12 @@ def test_default_modulus_is_found_once_per_process(monkeypatch):
     import endoclass.fields as fields
     first = field_from_spec("F256")
     calls = []
-    irreducible = fields._poly_is_irreducible
 
-    def counting_irreducible(*args):
-        calls.append(args)
-        return irreducible(*args)
-    monkeypatch.setattr(fields, "_poly_is_irreducible", counting_irreducible)
+    class CountingTables(fields.FieldTables):
+        def __init__(self, field):
+            calls.append(field)
+            super().__init__(field)
+    monkeypatch.setattr(fields, "FieldTables", CountingTables)
     assert field_from_spec("F256") is first
     assert calls == []
 
@@ -445,18 +495,17 @@ def test_default_moduli_are_the_first_irreducible_in_code_order():
     for p, k in SHORTHANDS:
         modulus = first_irreducible_modulus(p, k)
         assert default_modulus(p, k) == modulus
-        assert _poly_is_irreducible(modulus, p)
         assert field_from_spec(f"F{p**k}").modulus == modulus
     assert _format_poly(default_modulus(2, 8), "x") == "x^8+x^4+x^3+x+1"
 
 
 def test_first_use_of_a_shorthand_checks_its_modulus_once():
-    # a fresh interpreter: no search for the modulus, and field_make's
-    # irreducibility check runs once on the one it is given
+    # a fresh interpreter: no search for the modulus, and the table
+    # build, which is the irreducibility check, runs once per field
     code = ("import endoclass.fields as f\n"
             "calls = []\n"
-            "check = f._poly_is_irreducible\n"
-            "f._poly_is_irreducible = lambda m, p: calls.append(m) or check(m, p)\n"
+            "build = f.FieldTables.__init__\n"
+            "f.FieldTables.__init__ = lambda t, field: calls.append(field) or build(t, field)\n"
             "f.field_from_spec('F256'); f.field_from_spec('F243')\n"
             "print(len(calls))\n")
     import endoclass.fields as fields

@@ -9,7 +9,7 @@ from endoclass import (FieldMismatchError, InfiniteFieldError, LiftedTransform,
                        theorem_families, type_of)
 from endoclass import algebra, iso
 from endoclass.classify import enumerate_type_ii1, iso_classes
-from endoclass.iso import gl2_lifted, gl2_order
+from endoclass.iso import gl2_lifted
 
 from common import random_element, sp, tr
 
@@ -65,7 +65,7 @@ def test_lift_diagonal():
 
 def test_lift_homomorphism_exhaustive_f3():
     gl2 = _all_gl2(F3)
-    assert len(gl2) == gl2_order(3) == 48
+    assert len(gl2) == 48  # (3^2 - 1)(3^2 - 3)
     lifts = {X.codes(): lift(X) for X in gl2}
     for X in gl2:
         for Y in gl2:
@@ -172,6 +172,43 @@ def test_check_iso_system_bridge_instance():
     lhs = sp(F5, 0, 2, 2, 0, -2, 1)
     rhs = sp(F5, 0, 2, 2, 0, -2, 0)
     assert check_iso_system(lhs, rhs, tr(F5, 3, 4, 0, 1))
+
+
+def iso_equations(S, S2, X):
+    """The truth of each of the eight equations of `check_iso_system`."""
+    p, q, a, b, c, d = S.astuple()
+    p2, q2, a2, b2, c2, d2 = S2.astuple()
+    x, y, z, w = X.entries()
+    return [p2 * y * y + (a2 + c2) * x * y == z,
+            x * x + q2 * y * y + (b2 + d2) * x * y == w,
+            p2 * w * w + (a2 + c2) * z * w == p * x + q * z,
+            z * z + q2 * w * w + (b2 + d2) * z * w == p * y + q * w,
+            p2 * y * w + a2 * x * w + c2 * y * z == a * x + b * z,
+            x * z + q2 * y * w + b2 * x * w + d2 * y * z == a * y + b * w,
+            p2 * y * w + a2 * y * z + c2 * x * w == c * x + d * z,
+            x * z + q2 * y * w + b2 * y * z + d2 * x * w == c * y + d * w]
+
+
+def test_each_iso_equation_alone_rejects_some_input():
+    # with X = 1, equations 3-8 read p2 = p, q2 = q, ..., d2 = d, so an
+    # S2 that differs from S in one coordinate fails exactly one of them
+    S = sp(F5, 1, 2, 3, 4, 0, 1)
+    cases = []
+    for i in range(6):
+        coords = [1, 2, 3, 4, 0, 1]
+        coords[i] += 1
+        cases.append((2 + i, S, sp(F5, *coords), Transform.identity(F5)))
+    # X = ((1,0),(1,1)) fails equation 1 whatever S and S2 are; this S2
+    # satisfies the other seven (a2 = a + b, b2 = b - 1, c2 = c + d, ...)
+    cases.append((0, sp(F5, 0, 0, 0, 0, 0, 0), sp(F5, 0, 1, 0, -1, 0, -1), tr(F5, 1, 0, 1, 1)))
+    # X = ((1,0),(0,2)) fails equation 2 (1 != 2); S2 = (p/4, q/2, a/2, b, c/2, d)
+    # satisfies the rest
+    cases.append((1, sp(F5, 1, 1, 1, 1, 1, 1), sp(F5, 4, 3, 3, 1, 3, 1), tr(F5, 1, 0, 0, 2)))
+    assert sorted(i for i, *_ in cases) == list(range(8))
+    for i, S, S2, X in cases:
+        holds = iso_equations(S, S2, X)
+        assert holds == [j != i for j in range(8)], i
+        assert not check_iso_system(S, S2, X), i
 
 
 def test_check_iso_system_matches_transform():
