@@ -16,8 +16,8 @@ so full scans over q^4 element pairs stay cheap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .fields import Field, FieldElement, FieldMismatchError, FieldTables
 
@@ -29,15 +29,11 @@ class NotEndoCommutative(ValueError):
     receives one that fails the defining identity."""
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
+class AlgebraElement(NamedTuple):
     """u*e + v*f."""
 
     u: FieldElement
     v: FieldElement
-
-    def __iter__(self):
-        return iter((self.u, self.v))
 
 
 def element(field: Field, u, v) -> AlgebraElement:
@@ -112,8 +108,7 @@ class StructureMatrix:
         return cls(field, tuple(tuple(field.parse(s) for s in row) for row in obj["rows"]))
 
 
-@dataclass(frozen=True)
-class SParams:
+class SParams(NamedTuple):
     """The 6-tuple (p, q, a, b, c, d) of a straight-form algebra."""
 
     p: FieldElement
@@ -133,16 +128,14 @@ class SParams:
         return cls(conv(p), conv(q), conv(a), conv(b), conv(c), conv(d))
 
     def astuple(self):
-        return (self.p, self.q, self.a, self.b, self.c, self.d)
+        return tuple(self)
 
     def codes(self) -> tuple[int, ...]:
-        enc = self.field.code_of
-        return tuple(enc(v) for v in self.astuple())
+        return tuple(map(self.field.code_of, self))
 
     @classmethod
     def from_codes(cls, field: Field, codes) -> "SParams":
-        dec = field.element_of_code
-        return cls(*(dec(c) for c in codes))
+        return cls._make(map(field.element_of_code, codes))
 
     def to_structure_matrix(self) -> StructureMatrix:
         zero, one = self.field.zero(), self.field.one()
@@ -151,14 +144,14 @@ class SParams:
 
     def to_json(self) -> dict:
         fmt = self.field.format
-        return {k: fmt(v) for k, v in zip("pqabcd", self.astuple())}
+        return {k: fmt(v) for k, v in zip("pqabcd", self)}
 
     @classmethod
     def from_json(cls, field: Field, obj: dict) -> "SParams":
         return cls(*(field.parse(str(obj[k])) for k in "pqabcd"))
 
     def __str__(self):
-        return "S(" + ", ".join(str(v) for v in self.astuple()) + ")"
+        return "S(" + ", ".join(map(str, self)) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +230,7 @@ def is_endo_commutative_straight(S: SParams) -> bool:
     Works over any supported field; this is the polynomial system
     equivalent to the defining identity for straight-form algebras.
     """
-    p, q, a, b, c, d = S.astuple()
+    p, q, a, b, c, d = S
     if p * q + p * c != p * b * b + a * a * b + a * b * c:
         return False
     if p * (c - a) != (b - d) * (p * (b + d) - q * (a + c)):

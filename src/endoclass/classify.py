@@ -31,8 +31,8 @@ and the scan visits q^3 (q-1)^2 tuples under the guard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .algebra import (SParams, _TYPE_BY_PATTERN, _ec_straight_codes, _ii1_stratum,
                       is_endo_commutative_straight, pattern_type, AlgebraType)
@@ -93,8 +93,7 @@ def enumerate_type_ii1(field: Field) -> list[SParams]:
     return [SParams.from_codes(field, codes) for codes in _scan(field, (AlgebraType.II_1,))]
 
 
-@dataclass
-class SubclassInventory:
+class SubclassInventory(NamedTuple):
     """The four (b, q, d)-strata of the type-II1 family, produced twice:
     from the closed-form parametrizations and from the direct scan."""
 
@@ -179,8 +178,7 @@ def enumerate_subclasses(field: Field) -> SubclassInventory:
 # isomorphism classes
 # ---------------------------------------------------------------------------
 
-@dataclass
-class IsoClass:
+class IsoClass(NamedTuple):
     """One isomorphism class: members lists the partitioned algebras in
     its orbit in input order, so the representative, the
     enumeration-least member, is the first.
@@ -253,8 +251,7 @@ def iso_classes(algebras) -> list[IsoClass]:
 # predicted families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilyLabel:
+class FamilyLabel(NamedTuple):
     """Which family a predicted class representative comes from."""
 
     tag: str  # S1..S4 for characteristic != 2, S1'..S4' for characteristic 2
@@ -262,19 +259,19 @@ class FamilyLabel:
     eps: int | None = None
     delta: int | None = None
 
-    def _fields(self) -> list[tuple[str, FieldElement | int]]:
+    def _params(self) -> list[tuple[str, FieldElement | int]]:
         """(name, value) of each parameter the label carries, in order."""
         return [(name, v) for name, v in (("t", self.t), ("eps", self.eps), ("delta", self.delta))
                 if v is not None]
 
     def __str__(self):
         parts = [f"{name}={v}" if name == "t" else f"{name}={v:+d}"
-                 for name, v in self._fields()]
+                 for name, v in self._params()]
         return self.tag + (f"({', '.join(parts)})" if parts else "")
 
     def to_json(self) -> dict:
         return {"tag": self.tag, **{name: str(v) if name == "t" else v
-                                    for name, v in self._fields()}}
+                                    for name, v in self._params()}}
 
 
 def theorem_families(field: Field) -> list[tuple[FamilyLabel, SParams]]:
@@ -332,16 +329,14 @@ def theorem_families(field: Field) -> list[tuple[FamilyLabel, SParams]]:
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class MatchEntry:
+class MatchEntry(NamedTuple):
     label: FamilyLabel
     params: SParams
     class_index: int | None
     witness: Transform | None  # carries the class representative onto params
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Outcome of matching the predicted families against the exhaustive
     isomorphism partition of the type-II1 scan."""
 

@@ -95,7 +95,7 @@ def cmd_enumerate(args) -> int:
     else:  # tsv is the natural default here; text matches it
         print("p\tq\ta\tb\tc\td")
         for sp in tuples:
-            print("\t".join(str(v) for v in sp.astuple()))
+            print("\t".join(map(str, sp)))
     return 0
 
 

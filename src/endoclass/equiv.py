@@ -20,9 +20,8 @@ are exposed only as a bounded refutation search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from enum import Enum
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import gf2x
 from .fields import (Field, FieldElement, InfiniteFieldError,
@@ -164,41 +163,45 @@ def related(rel: RelationId, field: Field, t: FieldElement, t2: FieldElement):
 # complete representative systems
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RepSystem:
+class RepSystem(NamedTuple):
     """A complete representative system for one relation over one field.
 
     `representatives` holds exactly one element per equivalence class,
     chosen greedily in enumeration order.  For finite fields the full
-    class map is materialized, from each carrier code to the code of its
-    representative; for F2(X)/sim3 it is rule-backed.
+    class map `assign` is materialized, from each carrier code to the
+    code of its representative; for F2(X)/sim3 the function `rule` maps
+    an element to its representative.
     """
 
     relation: RelationId
     field: Field
     representatives: tuple[FieldElement, ...]
-    _assign: Optional[dict[int, int]] = dc_field(default=None, repr=False)
-    _rule: Optional[Callable] = dc_field(default=None, repr=False)
+    assign: Optional[dict[int, int]] = None
+    rule: Optional[Callable] = None
+
+    def __repr__(self):  # the class map and the rule stay out of it
+        return (f"RepSystem(relation={self.relation!r}, field={self.field!r}, "
+                f"representatives={self.representatives!r})")
 
     def representative_of(self, t: FieldElement) -> FieldElement:
-        if self._assign is not None:
-            rep = self._assign.get(t.payload) if t.field == self.field else None
+        if self.assign is not None:
+            rep = self.assign.get(t.payload) if t.field == self.field else None
             if rep is None:
                 raise CarrierError(f"{t} is not in the carrier")
             return self.field.element(rep)
         if not t:
             raise CarrierError("0 is not in the carrier")
-        return self._rule(t)
+        return self.rule(t)
 
     def classes(self) -> dict[FieldElement, list[FieldElement]]:
         return self._classes(self.field.element)
 
     def _classes(self, decode) -> dict:
         """Each representative's class in enumeration order, decoded."""
-        if self._assign is None:
+        if self.assign is None:
             raise InfiniteFieldError("class lists exist only over finite fields")
         out = {decode(rep.payload): [] for rep in self.representatives}
-        for code, rep in self._assign.items():
+        for code, rep in self.assign.items():
             out[decode(rep)].append(decode(code))
         return out
 
@@ -207,7 +210,7 @@ class RepSystem:
         obj = {"relation": self.relation.value,
                "field": self.field.spec_string(),
                "representatives": [fmt(r) for r in self.representatives]}
-        if self._assign is not None:
+        if self.assign is not None:
             obj["classes"] = self._classes(self.field.element_strings().__getitem__)
         return obj
 
@@ -247,7 +250,7 @@ def rep_system(rel: RelationId, field: Field) -> RepSystem:
         one = field.one()
         gen_x = field.element((2, 1))
         return RepSystem(rel, field, (one, gen_x),
-                         _rule=lambda t: gen_x if _f2x_sim3_is_x_class(t) else one)
+                         rule=lambda t: gen_x if _f2x_sim3_is_x_class(t) else one)
     op, g, image = _class_test(rel, field)
     # the carrier is every nonzero code but that of -4 under sim5
     excluded = field._from_int_payload(-4) if rel is RelationId.SIM5 else 0
@@ -263,7 +266,7 @@ def rep_system(rel: RelationId, field: Field) -> RepSystem:
         else:
             reps.append((code, op[key]))
             assign[code] = code
-    return RepSystem(rel, field, tuple(field.element(rep) for rep, _ in reps), _assign=assign)
+    return RepSystem(rel, field, tuple(field.element(rep) for rep, _ in reps), assign=assign)
 
 
 # ---------------------------------------------------------------------------

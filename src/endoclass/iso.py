@@ -34,7 +34,7 @@ integer codes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .algebra import SParams, StructureMatrix, _gauss_jordan, straight_bases
 from .fields import Field, FieldElement, FieldMismatchError, FieldTables
@@ -44,22 +44,28 @@ class SingularTransformError(ValueError):
     """The 2x2 matrix is not invertible."""
 
 
-@dataclass(frozen=True)
-class Transform:
-    """An element ((x, y), (z, w)) of GL2 over some field."""
-
+# Transform's fields; a NamedTuple body may not define the `__new__` that checks them
+class _Entries(NamedTuple):
     x: FieldElement
     y: FieldElement
     z: FieldElement
     w: FieldElement
 
-    def __post_init__(self):
-        f = self.x.field
-        for el in (self.y, self.z, self.w):
-            if el.field != f:
-                raise FieldMismatchError("transform entries must lie in one field")
+
+class Transform(_Entries):
+    """An element ((x, y), (z, w)) of GL2 over some field."""
+
+    __slots__ = ()
+
+    def __new__(cls, x, y, z, w):
+        self = super().__new__(cls, x, y, z, w)
+        if y.field != x.field or z.field != x.field or w.field != x.field:
+            raise FieldMismatchError("transform entries must lie in one field")
         if not self.det():
             raise SingularTransformError(f"{self} is singular")
+        return self
+
+    _make = classmethod(lambda cls, entries: cls(*entries))  # so `_replace` validates too
 
     @property
     def field(self) -> Field:
@@ -69,7 +75,7 @@ class Transform:
         return self.x * self.w - self.y * self.z
 
     def entries(self):
-        return (self.x, self.y, self.z, self.w)
+        return tuple(self)
 
     @classmethod
     def identity(cls, field: Field) -> "Transform":
@@ -83,8 +89,7 @@ class Transform:
 
     @classmethod
     def from_codes(cls, field: Field, codes) -> "Transform":
-        dec = field.element_of_code
-        return cls(*(dec(c) for c in codes))
+        return cls(*map(field.element_of_code, codes))
 
     def inverse(self) -> "Transform":
         di = self.det().inverse()
@@ -99,8 +104,7 @@ class Transform:
                          self.z * other.y + self.w * other.w)
 
     def codes(self) -> tuple[int, int, int, int]:
-        enc = self.field.code_of
-        return (enc(self.x), enc(self.y), enc(self.z), enc(self.w))
+        return tuple(map(self.field.code_of, self))
 
     def to_json(self) -> dict:
         fmt = self.field.format
@@ -192,8 +196,8 @@ def check_iso_system(S: SParams, S2: SParams, X: Transform) -> bool:
     """
     if S.field != S2.field or X.field != S.field:
         raise FieldMismatchError("check_iso_system needs one common field")
-    p, q, a, b, c, d = S.astuple()
-    p2, q2, a2, b2, c2, d2 = S2.astuple()
+    p, q, a, b, c, d = S
+    p2, q2, a2, b2, c2, d2 = S2
     x, y, z, w = X.entries()
     if p2 * y * y + (a2 + c2) * x * y != z:
         return False

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -358,9 +359,15 @@ def test_ii1_subclass_rejects_non_ec():
         ii1_subclass(sp(F2, 0, 1, 1, 1, 1, 1))
 
 
-def test_ii1_subclass_rejects_wrong_type():
-    S = sp(F3, 0, 0, 0, 0, 1, 0)  # type I.001
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize("params, tp", [
+    ((1, 0, 2, 2, 2, 2), AlgebraType.III),
+    ((1, 0, 0, 1, 1, 0), AlgebraType.II_2),
+    ((1, 0, 1, 0, 0, 1), AlgebraType.II_3),
+], ids=["III", "II2", "II3"])
+def test_ii1_subclass_rejects_wrong_type(params, tp):
+    S = sp(F3, *params)
+    assert type_of(S) is tp  # endo-commutative, so the type check is what refuses it
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(S))} is not of type II1$"):
         ii1_subclass(S)
 
 

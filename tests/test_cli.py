@@ -316,11 +316,17 @@ def test_rational_integers_fractions_and_decimals_parse(capsys, value, expected)
     assert json.loads(out)["t"] == expected
 
 
-def test_broken_pipe_exits_141_without_traceback():
-    # the F16 partition is about 110 kB of JSON, more than a pipe holds
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_broken_pipe_exits_141_without_traceback(unbuffered):
+    # the F16 partition is about 110 kB of JSON, more than a pipe holds.  An
+    # unbuffered stdout silently drops the rest of a partial write, so one
+    # write of the whole document would exit 0 there; both modes must see 141
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
     proc = subprocess.Popen(
         [sys.executable, "-m", "endoclass", "classes", "--field", "F16"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
     err = proc.stderr.read()

@@ -542,7 +542,7 @@ def pairwise_rep_system(rel, field):
             if other not in assign and related(rel, field, el, other)[0]:
                 assign[other] = el
     return RepSystem(rel, field, tuple(reps),
-                     _assign={el.payload: rep.payload for el, rep in assign.items()})
+                     assign={el.payload: rep.payload for el, rep in assign.items()})
 
 
 @pytest.mark.parametrize("spec", FIELDS_UP_TO_64)
