@@ -23,7 +23,7 @@ _EXPORTS = {
         "AlgebraElement", "AlgebraType", "NotEndoCommutative", "SParams",
         "StructureMatrix", "basis", "element", "ii1_subclass", "is_curled",
         "is_endo_commutative_definitional", "is_endo_commutative_straight",
-        "multiplication_table_text", "multiply", "rank", "square",
+        "multiplication_table_text", "multiply", "rank",
         "to_straight_form", "type_of"),
     "iso": (
         "LiftedTransform", "SingularTransformError", "Transform",

@@ -169,10 +169,6 @@ def multiply(A: StructureMatrix, x: AlgebraElement, y: AlgebraElement) -> Algebr
                           uu * r1f + vv * r2f + uv * r3f + vu * r4f)
 
 
-def square(A: StructureMatrix, x: AlgebraElement) -> AlgebraElement:
-    return multiply(A, x, x)
-
-
 # ---------------------------------------------------------------------------
 # endo-commutativity
 # ---------------------------------------------------------------------------

@@ -11,7 +11,11 @@ Five relations drive the classification of type-II1 algebras:
 
 Decisions come with witnesses: a square root for sim1/sim5, a solution
 of x^2 + x = target for sim2/sim4, and a pair (x, y) with
-t'x^2 + y^2 + t = 0 for sim3.  Over F2(X), sim3 is decided by the
+t'x^2 + y^2 + t = 0 for sim3.  `related` has one implementation per
+relation, whatever the field: sim1 and sim5 ask `fields.is_square` of
+one quotient, and so does sim3 over a finite field, where (root, 0) is
+its witness.  Only sim2/sim4, on finite fields, read the lookup tables,
+in one pass over the codes.  Over F2(X), sim3 is decided by the
 two-class rule (a reduced fraction is equivalent to X when the product
 numerator*denominator has a term of odd degree, to 1 otherwise) with a
 witness assembled from the constructive steps; sim2/sim4 over F2(X)
@@ -126,37 +130,35 @@ def _f2x_sim3_related(field, t, t2):
 # ---------------------------------------------------------------------------
 
 def related(rel: RelationId, field: Field, t: FieldElement, t2: FieldElement):
-    """Decide t ~ t', returning (bool, witness or None).  Over a finite
-    field: on codes, in one pass over them at most."""
+    """Decide t ~ t', returning (bool, witness or None).
+
+    sim1, sim5 and, over a finite field, sim3 ask `is_square` of one
+    quotient, on any field: t/t' (sim1, sim3) or t'(4+t) / (t(4+t'))
+    (sim5).  In characteristic 2 every element of a finite field is a
+    square, so sim3 always holds there, with witness (root, 0).  sim2
+    and sim4 (finite fields only) look for the first x in code order
+    with x^2 + x = target, in one pass over the field's tables.
+    """
     _check_supported(rel, field)
     _check_carrier(rel, field, t)
     _check_carrier(rel, field, t2)
-    if not field.is_finite:
-        if rel is RelationId.SIM1:
-            return is_square(field, t / t2)
-        if rel is RelationId.SIM5:
-            four = field.from_int(4)
-            return is_square(field, (t2 * (four + t)) / (t * (four + t2)))
-        return _f2x_sim3_related(field, t, t2)  # the one case left: sim3 over F2(X)
-
-    tables, t, t2 = field.tables(), t.payload, t2.payload
-    add, mul, inv = tables.add, tables.mul, tables.inv
     if rel in (RelationId.SIM2, RelationId.SIM4):
-        target = add[t][t2] if rel is RelationId.SIM2 else add[inv[t]][inv[t2]]
+        target = (t + t2 if rel is RelationId.SIM2 else t.inverse() + t2.inverse()).payload
+        tables = field.tables()
+        add = tables.add
         for x, square in enumerate(tables.square):
             if add[square][x] == target:
                 return True, field.element(x)
         return False, None
-    if rel is RelationId.SIM5:  # t ~ t' iff t'(4+t) / (t(4+t')) is a square
-        four = field._from_int_payload(4)
-        t, t2 = mul[t2][add[four][t]], mul[t][add[four][t2]]
-    root = tables.square_root(mul[t][inv[t2]])
-    if root is None:
-        return False, None
-    if rel is RelationId.SIM3:
-        # characteristic 2: squaring is bijective, so t/t' always has a root
-        return True, (field.element(root), field.zero())
-    return True, field.element(root)
+    if rel is RelationId.SIM5:
+        four = field.from_int(4)
+        return is_square(field, (t2 * (four + t)) / (t * (four + t2)))
+    if rel is RelationId.SIM1:
+        return is_square(field, t / t2)
+    if not field.is_finite:
+        return _f2x_sim3_related(field, t, t2)
+    # characteristic 2: squaring is bijective, so t/t' always has a root
+    return True, (is_square(field, t / t2)[1], field.zero())
 
 
 # ---------------------------------------------------------------------------

@@ -240,13 +240,13 @@ class FieldElement:
         rhs = self._rhs(other)
         if rhs is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._sub(self.payload, rhs))
+        return FieldElement(self.field, self.field._add(self.payload, self.field._neg(rhs)))
 
     def __rsub__(self, other):
         rhs = self._rhs(other)
         if rhs is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._sub(rhs, self.payload))
+        return FieldElement(self.field, self.field._add(rhs, self.field._neg(self.payload)))
 
     def __mul__(self, other):
         rhs = self._rhs(other)
@@ -318,7 +318,7 @@ class Field:
     descriptor: FieldDescriptor
 
     # payload-level ops supplied by subclasses:
-    #   _add, _sub, _mul, _neg, _inv, _from_int_payload
+    #   _add, _mul, _neg, _inv, _from_int_payload
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.descriptor == other.descriptor
@@ -531,9 +531,6 @@ class FiniteFieldBase(Field):
     def _add(self, a, b):
         return self._tables.add[a][b]
 
-    def _sub(self, a, b):
-        return self._tables.add[a][self._tables.neg[b]]
-
     def _mul(self, a, b):
         return self._tables.mul[a][b]
 
@@ -615,9 +612,6 @@ class RationalField(Field):
     def _add(self, a, b):
         return a + b
 
-    def _sub(self, a, b):
-        return a - b
-
     def _mul(self, a, b):
         return a * b
 
@@ -678,8 +672,6 @@ class RationalFunctionField2(Field):
     def _add(self, a, b):
         return self._reduce(gf2x.mul(a[0], b[1]) ^ gf2x.mul(b[0], a[1]),
                             gf2x.mul(a[1], b[1]))
-
-    _sub = _add  # characteristic 2
 
     def _mul(self, a, b):
         return self._reduce(gf2x.mul(a[0], b[0]), gf2x.mul(a[1], b[1]))

@@ -55,6 +55,15 @@ def test_multiply_field_mismatch():
         multiply(A, element(F3, 1, 0), element(F3, 0, 1))
 
 
+def test_structure_matrix_rejects_a_wrong_shape_and_a_foreign_entry():
+    one, zero = F5.one(), F5.zero()
+    with pytest.raises(ValueError, match="^a structure matrix needs 4 rows of 2 entries$"):
+        StructureMatrix(F5, ((one, zero),) * 3)
+    with pytest.raises(FieldMismatchError,
+                       match="^structure matrix entries must lie in the owner field$"):
+        StructureMatrix(F5, ((one, zero),) * 3 + ((one, F3.one()),))
+
+
 def test_multiply_bilinear_randomized():
     rng = random.Random(7)
     A = StructureMatrix.from_ints(

@@ -48,6 +48,19 @@ def test_verify_deterministic_output(capsys):
     assert out1 == out2
 
 
+def test_verify_text_prints_each_failure_and_exits_1(capsys, monkeypatch):
+    import endoclass.classify as classify
+    families = classify.theorem_families
+    monkeypatch.setattr(classify, "theorem_families", lambda field: families(field)[:-1])
+    code, out, err = run_cli(capsys, "verify", "--field", "F3", "--format", "text")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert lines[1] == "verdict: fail"
+    assert lines[-2:] == [
+        "FAIL: 10 computed classes vs 9 predicted families",
+        "FAIL: class 3 (representative S(0, 1, 2, 0, 1, 0)) matches no predicted family"]
+
+
 # ---------------------------------------------------------------------------
 # iso
 # ---------------------------------------------------------------------------
@@ -171,6 +184,16 @@ def test_table_text_layout(capsys):
     assert lines[0].startswith("(") and lines[1].startswith("(")
     assert "-e+2f" in out
     assert "type II1" in out
+
+
+@pytest.mark.parametrize("spec, algebra, table", [
+    ("F9", "0,w+1,1,0,1,1", "( f    e      )\n( e+f  (w+1)f )"),
+    ("Q", "0,0,1,0,-1/2,0", "( f        e )\n( (-1/2)e  0 )")])
+def test_table_text_brackets_compound_coefficients_and_prints_a_zero_row(
+        capsys, spec, algebra, table):
+    code, out, err = run_cli(capsys, "table", "--field", spec, "--algebra", algebra)
+    assert (code, err) == (0, "")
+    assert out == table + "\nrank 2, endo-commutative: no\n"
 
 
 def test_fields_listing(capsys):

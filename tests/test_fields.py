@@ -348,6 +348,8 @@ def test_parse_errors():
         f2x.parse("X/0")
     with pytest.raises(FieldError):
         field_from_spec("G5")
+    with pytest.raises(FieldError, match=r"^mixed variables in polynomial: 'w\+x'$"):
+        field_from_spec("F9").parse("w+x")
 
 
 def test_division_by_zero():
@@ -357,6 +359,17 @@ def test_division_by_zero():
     Q = field_from_spec("Q")
     with pytest.raises(ZeroDivisionError):
         Q.one() / Q.zero()
+
+
+def test_negative_powers():
+    f5 = field_from_spec("F5")
+    assert f5.from_int(2) ** -1 == f5.from_int(3)
+    assert f5.from_int(2) ** -3 == f5.from_int(2)  # 1/8 = 1/3 = 2
+    Q = field_from_spec("Q")
+    assert Q.element(Fraction(2, 3)) ** -2 == Q.element(Fraction(9, 4))
+    for f in (f5, Q):
+        with pytest.raises(ZeroDivisionError):
+            f.zero() ** -1
 
 
 @pytest.mark.parametrize("spec, message", [("F97", "0 has no inverse in F97"),
@@ -383,9 +396,11 @@ def test_fields_are_interned(spec, same):
 
 
 def test_equal_moduli_give_one_field():
-    # a non-monic modulus is normalized before the field is interned
-    assert (field_make(FieldDescriptor.extension(3, 2, (2, 0, 2)))
-            is field_from_spec("F3^2/x^2+1"))
+    # a non-monic modulus, or one with coefficients outside 0..p-1, is
+    # normalized before the field is interned
+    for modulus in ((2, 0, 2), (4, 0, 1)):
+        assert (field_make(FieldDescriptor.extension(3, 2, modulus))
+                is field_from_spec("F3^2/x^2+1"))
 
 
 def test_omega_input_accepted():
