@@ -15,17 +15,17 @@ t'x^2 + y^2 + t = 0 for sim3.  `related` has one implementation per
 relation, whatever the field: sim1 and sim5 ask `fields.is_square` of
 one quotient, and so does sim3 over a finite field, where (root, 0) is
 its witness.  Only sim2/sim4, on finite fields, read the lookup tables,
-in one pass over the codes.  Over F2(X), sim3 is decided by the
-two-class rule (a reduced fraction is equivalent to X when the product
-numerator*denominator has a term of odd degree, to 1 otherwise) with a
-witness assembled from the constructive steps; sim2/sim4 over F2(X)
-are exposed only as a bounded refutation search.
+in one pass over the codes.  Over F2(X), sim3 has two classes, 1 and X:
+t = num/den lies in X's class iff it is not a square, that is iff
+num*den has a term of odd degree, and the one split of num*den into
+odd and even terms gives both t's class and its witness.  sim2/sim4
+over F2(X) are exposed only as a bounded refutation search.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from . import gf2x
 from .fields import (Field, FieldElement, InfiniteFieldError,
@@ -81,53 +81,41 @@ def carrier_elements(rel: RelationId, field: Field) -> list[FieldElement]:
 
 
 # ---------------------------------------------------------------------------
-# sim3 over F2(X): two classes with constructive witnesses
+# sim3 over F2(X): two classes, 1 and X, from one odd/even split
 # ---------------------------------------------------------------------------
 
-def _f2x_sim3_is_x_class(t: FieldElement) -> bool:
+def _f2x_sim3_class(field: RationalFunctionField2, t: FieldElement):
+    """(in X's class, x, y) with rep*x^2 + y^2 + t = 0, rep being 1 or X.
+
+    For t = num/den, split num*den = X*s^2 + r^2 into odd and even terms:
+    t = X(s/den)^2 + (r/den)^2 when s != 0, else t = (r/den)^2.
+    """
     num, den = t.payload
-    return gf2x.has_odd_term(gf2x.mul(num, den))
-
-
-def _sim3_compose(x1, y1, x2, y2):
-    # chain t ~ u (via x1,y1) and u ~ v (via x2,y2) into t ~ v
-    return x2 * x1, y2 * x1 + y1
-
-
-def _f2x_sim3_witness_to_rep(field: RationalFunctionField2, t: FieldElement):
-    """(x, y) with rep * x^2 + y^2 + t = 0, rep being t's class (1 or X)."""
-    num, den = t.payload
-    u = gf2x.mul(num, den)
-    # t ~ u via x = 1/den, y = 0:  u/den^2 + t = 0
-    x1 = field.element((1, den))
-    y1 = field.zero()
-    odd, even = gf2x.odd_even_split(u)
+    odd, even = gf2x.odd_even_split(gf2x.mul(num, den))
+    r = field.from_polys(gf2x.sqrt(even), den)
     if odd:
-        # u ~ X via X*s^2 + r^2 + u = 0 where odd = X*s^2 and even = r^2
-        x2 = field.element((gf2x.sqrt(odd >> 1), 1))
-        y2 = field.element((gf2x.sqrt(even), 1))
-    else:
-        # u ~ 1 via 1*r^2 + 0 + u = 0
-        x2 = field.element((gf2x.sqrt(even), 1))
-        y2 = field.zero()
-    return _sim3_compose(x1, y1, x2, y2)
+        return True, field.from_polys(gf2x.sqrt(odd >> 1), den), r
+    return False, r, field.zero()
 
 
 def _f2x_sim3_related(field, t, t2):
-    in_x = _f2x_sim3_is_x_class(t)
-    if in_x != _f2x_sim3_is_x_class(t2):
+    in_x, xa, ya = _f2x_sim3_class(field, t)
+    in_x2, xb, yb = _f2x_sim3_class(field, t2)
+    if in_x != in_x2:
         return False, None
-    xa, ya = _f2x_sim3_witness_to_rep(field, t)
-    xb, yb = _f2x_sim3_witness_to_rep(field, t2)
-    # invert t2 ~ rep into rep ~ t2, then chain through the representative
-    xs, ys = xb.inverse(), yb / xb
-    x, y = _sim3_compose(xa, ya, xs, ys)
-    return True, (x, y)
+    # t = rep*xa^2 + ya^2 and t2 = rep*xb^2 + yb^2 give t = t2*x^2 + y^2
+    x = xa / xb
+    return True, (x, yb * x + ya)
 
 
 # ---------------------------------------------------------------------------
 # decisions
 # ---------------------------------------------------------------------------
+
+def _target(rel: RelationId, t: FieldElement, t2: FieldElement) -> FieldElement:
+    """The right side of x^2 + x = target: t + t' (sim2), 1/t + 1/t' (sim4)."""
+    return t + t2 if rel is RelationId.SIM2 else t.inverse() + t2.inverse()
+
 
 def related(rel: RelationId, field: Field, t: FieldElement, t2: FieldElement):
     """Decide t ~ t', returning (bool, witness or None).
@@ -143,7 +131,7 @@ def related(rel: RelationId, field: Field, t: FieldElement, t2: FieldElement):
     _check_carrier(rel, field, t)
     _check_carrier(rel, field, t2)
     if rel in (RelationId.SIM2, RelationId.SIM4):
-        target = (t + t2 if rel is RelationId.SIM2 else t.inverse() + t2.inverse()).payload
+        target = _target(rel, t, t2).payload
         tables = field.tables()
         add = tables.add
         for x, square in enumerate(tables.square):
@@ -168,20 +156,20 @@ def related(rel: RelationId, field: Field, t: FieldElement, t2: FieldElement):
 class RepSystem(NamedTuple):
     """A complete representative system for one relation over one field.
 
-    `representatives` holds exactly one element per equivalence class,
-    chosen greedily in enumeration order.  For finite fields the full
-    class map `assign` is materialized, from each carrier code to the
-    code of its representative; for F2(X)/sim3 the function `rule` maps
-    an element to its representative.
+    `representatives` holds exactly one element per equivalence class.
+    Over a finite field they are chosen greedily in enumeration order
+    and the class map `assign`, from each carrier code to the code of
+    its representative, is materialized.  Over F2(X) the system is
+    sim3's (1, X) and has no class map: an element's representative is
+    the first one `related` to it.
     """
 
     relation: RelationId
     field: Field
     representatives: tuple[FieldElement, ...]
     assign: Optional[dict[int, int]] = None
-    rule: Optional[Callable] = None
 
-    def __repr__(self):  # the class map and the rule stay out of it
+    def __repr__(self):  # the class map stays out of it
         return (f"RepSystem(relation={self.relation!r}, field={self.field!r}, "
                 f"representatives={self.representatives!r})")
 
@@ -193,7 +181,8 @@ class RepSystem(NamedTuple):
             return self.field.element(rep)
         if not t:
             raise CarrierError("0 is not in the carrier")
-        return self.rule(t)
+        return next(r for r in self.representatives
+                    if related(self.relation, self.field, r, t)[0])
 
     def classes(self) -> dict[FieldElement, list[FieldElement]]:
         return self._classes(self.field.element)
@@ -249,10 +238,7 @@ def rep_system(rel: RelationId, field: Field) -> RepSystem:
         if rel is not RelationId.SIM3:
             raise InfiniteFieldError(
                 f"no representative system for {rel.value} over {field.spec_string()}")
-        one = field.one()
-        gen_x = field.element((2, 1))
-        return RepSystem(rel, field, (one, gen_x),
-                         rule=lambda t: gen_x if _f2x_sim3_is_x_class(t) else one)
+        return RepSystem(rel, field, (field.one(), field.element((2, 1))))
     op, g, image = _class_test(rel, field)
     # the carrier is every nonzero code but that of -4 under sim5
     excluded = field._from_int_payload(-4) if rel is RelationId.SIM5 else 0
@@ -333,11 +319,7 @@ def bounded_refutation_search(field: Field, rel: RelationId,
         raise ValueError(f"degree bound {degree_bound} exceeds the supported "
                          f"maximum {MAX_DEGREE_BOUND}")
 
-    if rel is RelationId.SIM2:
-        target = t + t2
-    else:
-        target = t.inverse() + t2.inverse()
-    tn, td = target.payload
+    tn, td = _target(rel, t, t2).payload
     pole = gf2x.deg(tn) - gf2x.deg(td)
     if pole > 0 and pole % 2:
         return None

@@ -746,23 +746,26 @@ def field_make(spec: FieldDescriptor) -> Field:
     descriptors are cached: an invalid one raises before anything is
     stored.
     """
+    # bound p and k before _is_prime: trial division of a huge p runs for minutes
+    if spec.kind in (KIND_PRIME, KIND_EXTENSION) and not isinstance(spec.p, int):
+        raise FieldError(f"{spec.p} is not prime")
     if spec.kind == KIND_PRIME:
         p = spec.p
-        if not isinstance(p, int) or not _is_prime(p):
-            raise FieldError(f"{p} is not prime")
         if p > MAX_PRIME:
             raise FieldError(f"prime fields are supported up to p = {MAX_PRIME}, got {p}")
+        if not _is_prime(p):
+            raise FieldError(f"{p} is not prime")
         return PrimeField(p)
     if spec.kind == KIND_EXTENSION:
         p, k, modulus = spec.p, spec.k, spec.modulus
-        if not isinstance(p, int) or not _is_prime(p):
-            raise FieldError(f"{p} is not prime")
         if not isinstance(k, int) or k < 1:
             raise FieldError(f"extension degree must be >= 1, got {k}")
         if k > MAX_DEGREE:
             raise FieldError(f"extension degrees are supported up to {MAX_DEGREE}, got {k}")
         if p**k > MAX_ORDER:
             raise FieldError(f"extension fields are supported up to order {MAX_ORDER}, got {p**k}")
+        if not _is_prime(p):
+            raise FieldError(f"{p} is not prime")
         modulus = _poly_trim(list(modulus))
         if len(modulus) != k + 1:
             raise FieldError(f"modulus must have degree {k}")

@@ -63,11 +63,6 @@ def is_square(a: int) -> bool:
     return _odd_part(a) == 0
 
 
-def has_odd_term(a: int) -> bool:
-    """True iff some X^(2i+1) appears with coefficient 1."""
-    return _odd_part(a) != 0
-
-
 def sqrt(a: int) -> int:
     """Square root of a square polynomial (halve every exponent)."""
     r = 0

@@ -6,6 +6,7 @@ from endoclass import (CarrierError, InfiniteFieldError, RelationId,
                        UnsupportedRelation, bounded_refutation_search,
                        carrier_elements, equiv, field_from_spec, is_square, related,
                        rep_system)
+from endoclass import gf2x
 from endoclass.equiv import MAX_DEGREE_BOUND
 
 F2 = field_from_spec("F2")
@@ -90,6 +91,57 @@ def test_sim3_f2x_fraction_rule():
         assert ok1 == (not in_x_class), s
         if ok1:
             _verify_witness(RelationId.SIM3, F2X, t, F2X.one(), wit1)
+
+
+# (t, t', x, y): the witness itself is pinned, not only its equation; the
+# first three pairs are chosen by hand, the rest drawn with
+# random.Random(23) from numerators and denominators of degree below 6
+F2X_SIM3_WITNESSES = [
+    ("X", "X+1", "1", "1"),
+    ("X^3+X^2", "X", "X", "X"),
+    ("(X^2+1)/(X^3+X)", "1/X", "1", "0"),
+    ("(X^4+X^3+X^2+X)/(X^4+X^3+1)", "(X^5+X^4+X^3+X^2+1)/(X^4+X+1)",
+     "(X^5+X^4+X^2+1)/(X^8+X^6+1)", "(X^8+X^7+X^4+X^3+X+1)/(X^8+X^6+1)"),
+    ("(X^3+X+1)/(X^3+1)", "X+1", "(1)/(X^3+1)", "(X^2)/(X^2+X+1)"),
+    ("(X^4+X+1)/(X^3+X)", "(X^4+X^3+X^2)/(X^4+X^3+1)",
+     "(X^4+X^3+1)/(X^2)", "(X^4+X^3+X^2+X+1)/(X^2+X)"),
+    ("(X^4+X^3+X^2+X)/(X^3+X^2+1)", "(X^3+1)/(X^5+X^3+X^2+X+1)",
+     "(X^8+X^6+X^4+X^2+X+1)/(X^3+X^2+1)", "(X^7+X^6+X^5+1)/(X^3+X^2+1)"),
+    ("(X^3+X^2+1)/(X^4+X)", "X^4+X^3+X^2+1",
+     "(X^3+X+1)/(X^5+X^2)", "(X^4+X^3+X^2+X+1)/(X^4+X^3+X^2)"),
+    ("(X+1)/(X^3)", "(X^2+1)/(X^3+X+1)", "(X^3+X+1)/(X^4+X^2)", "(X^2+X+1)/(X^3+X^2)"),
+    ("(X)/(X^2+X+1)", "(X)/(X^4+X^2+1)", "X+1", "(X)/(X^2+X+1)"),
+    ("(X^4+X^2+X+1)/(X^4)", "(X^4+X^3+X+1)/(X)", "(1)/(X^3+X)", "(X^3+X+1)/(X^3+X^2)"),
+    ("(X^5+1)/(X^5+X^3+1)", "(X^5+X^3+X^2+X+1)/(X^4+X^3+X^2)",
+     "(X^3+X^2+X)/(X^7+X^3+X^2+1)", "(X^7+X^6+X^5+X^4+X^3+X^2+X)/(X^7+X^3+X^2+1)"),
+    ("(X^4+X^2+X+1)/(X^5+X^4+X)", "(X)/(X^2+X+1)",
+     "(X^6+X^4+X^3+X^2+1)/(X^6+X^4+X^2+X)", "(X)/(X^5+X^3+X+1)"),
+    ("(X^4+X^3+1)/(X^2)", "(X^4+X^2)/(X^2+X+1)", "(X^2+X+1)/(X^2+X)", "(X+1)/(X)"),
+    ("(X^3+X+1)/(X^3)", "(X^3+X^2)/(X^4+X^3+X^2+X+1)",
+     "(X^4+X^3+X^2+X+1)/(X^5)", "(X^4+X^3+1)/(X^4)"),
+    ("(X^5+X^2+1)/(X^4+X+1)", "(X^4+X^3+1)/(X^4+X^2+1)",
+     "(X^6+X^5+X^2+1)/(X^5+X^2+X)", "(X^6+X^2+1)/(X^5+X^2+X)"),
+    ("(X^4+X^2+1)/(X^5+X^2+1)", "(X)/(X^4+X+1)",
+     "(X^8+X^7+X^6+X^5+X^2)/(X^7+X^5+X^4+1)", "(X^4+X^2+1)/(X^7+X^5+X^4+1)"),
+    ("(X^4+X^3+X^2+X+1)/(X^3+X^2)", "(X^5+X^3+X^2+X)/(X^4+X^3+X^2+X+1)",
+     "(X^5+X^4+X^3+X^2+X)/(X^5+X^4+X^2+1)", "(X^5+1)/(X^5+X^2+X)"),
+    ("(X^5+X^2+X)/(X^5+X^4+X+1)", "(X+1)/(X^2)", "(X^3+X^2+X)/(X^3+X^2+X+1)", "1"),
+    ("(X^5+X^3+X)/(X^3+X+1)", "(X+1)/(X^3+X^2+1)",
+     "(X^5+X+1)/(X^3+X+1)", "(X^2+X+1)/(X^3+X+1)"),
+    ("(X^3+X^2)/(X^5+X+1)", "(X^4+X^2+1)/(X^5+X^3+X^2)",
+     "(X^7+X^5+X^4)/(X^8+X^5+X^4+X^3+X+1)", "(X^5+X^4+X)/(X^6+X^5+X^2+1)"),
+    ("(X^4+X+1)/(X^4+X^3+X^2+X)", "(X^3+X^2+1)/(X^5+X^2+X)",
+     "(X^6+X^5+X^4+X^3+1)/(X^5+X^2+X+1)", "(X^4+X+1)/(X^5+X^2+X+1)"),
+    ("(X+1)/(X^5+X^2+1)", "(X^4+X)/(X^5+X^4+X^3+X^2+1)",
+     "(X^7+X^5+X^4+X+1)/(X^9+X^8+X^7+X+1)", "(X^7+X^5+X^3+1)/(X^9+X^8+X^7+X+1)"),
+]
+
+
+@pytest.mark.parametrize("t, t2, x, y", F2X_SIM3_WITNESSES)
+def test_sim3_f2x_witnesses_are_pinned(t, t2, x, y):
+    ok, (wx, wy) = related(RelationId.SIM3, F2X, F2X.parse(t), F2X.parse(t2))
+    assert ok and (F2X.format(wx), F2X.format(wy)) == (x, y)
+    _verify_witness(RelationId.SIM3, F2X, F2X.parse(t), F2X.parse(t2), (wx, wy))
 
 
 def test_sim1_q_distinct_primes():
@@ -195,8 +247,23 @@ def test_rep_system_f2x_sim3():
     assert str(rs.representative_of(F2X.parse("(X^2+1)/(X^4)"))) == "1"
     with pytest.raises(CarrierError, match="^0 is not in the carrier$"):
         rs.representative_of(F2X.zero())
+    # as on the finite systems, an element of another field is refused
+    with pytest.raises(CarrierError, match="^element does not belong to the given field$"):
+        rs.representative_of(F4.one())
     with pytest.raises(InfiniteFieldError):
         rs.classes()
+
+
+def test_rep_system_f2x_sim3_follows_the_odd_term_rule():
+    # oracle: num/den is in X's class iff num*den has an odd-degree term
+    def odd_term(t):
+        return gf2x.odd_even_split(gf2x.mul(*t.payload))[0] != 0
+    rs = rep_system(RelationId.SIM3, F2X)
+    one, gen_x = rs.representatives
+    rng = random.Random(2302)
+    for _ in range(300):
+        t = F2X.from_polys(rng.randrange(1, 1 << 12), rng.randrange(1, 1 << 12))
+        assert rs.representative_of(t) == (gen_x if odd_term(t) else one), t
 
 
 def test_rep_system_infinite_unsupported():

@@ -112,6 +112,26 @@ def test_table_build_rejects_exactly_the_reducible_moduli():
                     assert field_make(FieldDescriptor.extension(p, k, m)).modulus == m
 
 
+@pytest.mark.parametrize("spec, message", [
+    (FieldDescriptor.prime(10**18 + 3),
+     f"prime fields are supported up to p = {MAX_PRIME}, got {10**18 + 3}"),
+    (FieldDescriptor.extension(10**18 + 3, 2, (1, 0, 1)),
+     f"extension fields are supported up to order {MAX_ORDER}, got {(10**18 + 3)**2}")],
+    ids=["prime", "extension"])
+def test_descriptors_are_bounded_before_primality(monkeypatch, spec, message):
+    # trial division of a p near 10^18 runs for minutes: the bound comes first
+    import endoclass.fields as fields
+    is_prime = fields._is_prime
+
+    def bounded_is_prime(n):
+        assert n <= MAX_ORDER, f"primality test of {n}"
+        return is_prime(n)
+    monkeypatch.setattr(fields, "_is_prime", bounded_is_prime)
+    with pytest.raises(FieldError) as info:
+        field_make(spec)
+    assert str(info.value) == message
+
+
 def test_bad_degree_rejected():
     with pytest.raises(FieldError):
         field_make(FieldDescriptor.extension(2, 0, (1,)))

@@ -93,7 +93,6 @@ def test_odd_even_split_separates_exponent_parities(a):
     assert all(i % 2 == 1 for i in exponents(odd))
     assert all(i % 2 == 0 for i in exponents(even))
     assert gf2x.is_square(a) == (odd == 0)
-    assert gf2x.has_odd_term(a) == (odd != 0)
     root = gf2x.sqrt(even)
     assert gf2x.mul(root, root) == even
 
