@@ -19,7 +19,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .fields import Field, FieldElement, FieldMismatchError, FieldTables
+from .fields import Field, FieldElement, FieldMismatchError, FieldTables, _ElementRecord
 
 ROW_LABELS = ("e*e", "f*f", "e*f", "f*e")
 
@@ -108,9 +108,8 @@ class StructureMatrix:
         return cls(field, tuple(tuple(field.parse(s) for s in row) for row in obj["rows"]))
 
 
-class SParams(NamedTuple):
-    """The 6-tuple (p, q, a, b, c, d) of a straight-form algebra."""
-
+# SParams's fields; a NamedTuple class statement takes no other base
+class _SParamsFields(NamedTuple):
     p: FieldElement
     q: FieldElement
     a: FieldElement
@@ -118,37 +117,19 @@ class SParams(NamedTuple):
     c: FieldElement
     d: FieldElement
 
-    @property
-    def field(self) -> Field:
-        return self.p.field
 
-    @classmethod
-    def from_ints(cls, field: Field, p, q, a, b, c, d) -> "SParams":
-        conv = lambda v: v if isinstance(v, FieldElement) else field.from_int(v)
-        return cls(conv(p), conv(q), conv(a), conv(b), conv(c), conv(d))
+class SParams(_SParamsFields, _ElementRecord):
+    """The 6-tuple (p, q, a, b, c, d) of a straight-form algebra."""
+
+    __slots__ = ()
 
     def astuple(self):
         return tuple(self)
-
-    def codes(self) -> tuple[int, ...]:
-        return tuple(map(self.field.code_of, self))
-
-    @classmethod
-    def from_codes(cls, field: Field, codes) -> "SParams":
-        return cls._make(map(field.element_of_code, codes))
 
     def to_structure_matrix(self) -> StructureMatrix:
         zero, one = self.field.zero(), self.field.one()
         return StructureMatrix(self.field, ((zero, one), (self.p, self.q),
                                             (self.a, self.b), (self.c, self.d)))
-
-    def to_json(self) -> dict:
-        fmt = self.field.format
-        return {k: fmt(v) for k, v in zip("pqabcd", self)}
-
-    @classmethod
-    def from_json(cls, field: Field, obj: dict) -> "SParams":
-        return cls(*(field.parse(str(obj[k])) for k in "pqabcd"))
 
     def __str__(self):
         return "S(" + ", ".join(map(str, self)) + ")"

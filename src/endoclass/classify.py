@@ -169,7 +169,7 @@ def _by_stratum(algebras) -> dict[int, list[SParams]]:
 
 def enumerate_subclasses(field: Field) -> SubclassInventory:
     """Both productions of the four subclasses (closed form and scan)."""
-    scan = [SParams.from_codes(field, codes) for codes in _scan(field, (AlgebraType.II_1,))]
+    scan = enumerate_type_ii1(field)
     closed = [SParams.from_codes(field, codes) for codes in _ii1_closed_form(field.tables())]
     return SubclassInventory(field, _by_stratum(closed), _by_stratum(scan), scan)
 

@@ -312,6 +312,40 @@ class FieldElement:
         return f"{self.field.format(self)} @ {self.field.spec_string()}"
 
 
+class _ElementRecord:
+    """The conversions shared by the NamedTuples of field elements
+    (`SParams`, `Transform`): keyed by the record's own `_fields` and
+    built through `_make`, so a subclass that checks in `_make` checks
+    every route."""
+
+    __slots__ = ()
+
+    @property
+    def field(self) -> "Field":
+        return self[0].field
+
+    @classmethod
+    def from_ints(cls, field: "Field", *values):
+        """The record of `values`, one per field in order; ints are mapped
+        into `field`, elements are kept.  A wrong count raises TypeError."""
+        return cls._make(v if isinstance(v, FieldElement) else field.from_int(v) for v in values)
+
+    def codes(self) -> tuple[int, ...]:
+        return tuple(map(self.field.code_of, self))
+
+    @classmethod
+    def from_codes(cls, field: "Field", codes):
+        return cls._make(map(field.element_of_code, codes))
+
+    def to_json(self) -> dict:
+        fmt = self.field.format
+        return {k: fmt(v) for k, v in zip(self._fields, self)}
+
+    @classmethod
+    def from_json(cls, field: "Field", obj: dict):
+        return cls._make(field.parse(str(obj[k])) for k in cls._fields)
+
+
 class Field:
     """Handle exposing exact arithmetic over one fixed field."""
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .algebra import SParams, StructureMatrix, _gauss_jordan, straight_bases
-from .fields import Field, FieldElement, FieldMismatchError, FieldTables
+from .fields import Field, FieldElement, FieldMismatchError, FieldTables, _ElementRecord
 
 
 class SingularTransformError(ValueError):
@@ -52,7 +52,7 @@ class _Entries(NamedTuple):
     w: FieldElement
 
 
-class Transform(_Entries):
+class Transform(_Entries, _ElementRecord):
     """An element ((x, y), (z, w)) of GL2 over some field."""
 
     __slots__ = ()
@@ -65,11 +65,8 @@ class Transform(_Entries):
             raise SingularTransformError(f"{self} is singular")
         return self
 
-    _make = classmethod(lambda cls, entries: cls(*entries))  # so `_replace` validates too
-
-    @property
-    def field(self) -> Field:
-        return self.x.field
+    # so `_replace` and the conversions of `_ElementRecord` validate too
+    _make = classmethod(lambda cls, entries: cls(*entries))
 
     def det(self) -> FieldElement:
         return self.x * self.w - self.y * self.z
@@ -82,15 +79,6 @@ class Transform(_Entries):
         one, zero = field.one(), field.zero()
         return cls(one, zero, zero, one)
 
-    @classmethod
-    def from_ints(cls, field: Field, x, y, z, w) -> "Transform":
-        conv = lambda v: v if isinstance(v, FieldElement) else field.from_int(v)
-        return cls(conv(x), conv(y), conv(z), conv(w))
-
-    @classmethod
-    def from_codes(cls, field: Field, codes) -> "Transform":
-        return cls(*map(field.element_of_code, codes))
-
     def inverse(self) -> "Transform":
         di = self.det().inverse()
         return Transform(self.w * di, -self.y * di, -self.z * di, self.x * di)
@@ -102,17 +90,6 @@ class Transform(_Entries):
                          self.x * other.y + self.y * other.w,
                          self.z * other.x + self.w * other.z,
                          self.z * other.y + self.w * other.w)
-
-    def codes(self) -> tuple[int, int, int, int]:
-        return tuple(map(self.field.code_of, self))
-
-    def to_json(self) -> dict:
-        fmt = self.field.format
-        return {"x": fmt(self.x), "y": fmt(self.y), "z": fmt(self.z), "w": fmt(self.w)}
-
-    @classmethod
-    def from_json(cls, field: Field, obj: dict) -> "Transform":
-        return cls(*(field.parse(str(obj[k])) for k in "xyzw"))
 
     def __str__(self):
         return f"(({self.x}, {self.y}), ({self.z}, {self.w}))"
@@ -164,7 +141,7 @@ class LiftedTransform:
 
 def lift(X: Transform) -> LiftedTransform:
     """The 4x4 matrix of pairwise entry products of X."""
-    a, b, c, d = X.entries()
+    a, b, c, d = X
     return LiftedTransform(X.field, (
         (a * a, b * b, a * b, a * b),
         (c * c, d * d, c * d, c * d),
@@ -198,7 +175,7 @@ def check_iso_system(S: SParams, S2: SParams, X: Transform) -> bool:
         raise FieldMismatchError("check_iso_system needs one common field")
     p, q, a, b, c, d = S
     p2, q2, a2, b2, c2, d2 = S2
-    x, y, z, w = X.entries()
+    x, y, z, w = X
     if p2 * y * y + (a2 + c2) * x * y != z:
         return False
     if x * x + q2 * y * y + (b2 + d2) * x * y != w:

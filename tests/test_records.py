@@ -1,12 +1,13 @@
 """The record types: immutable, compared and hashed by their fields, with a
-`Name(field=...)` repr, and a Transform that refuses a singular or
-mixed-field matrix however it is built."""
+`Name(field=...)` repr, a Transform that refuses a singular or
+mixed-field matrix however it is built, and the conversions that SParams
+and Transform share."""
 
 import pytest
 
 from endoclass import (AlgebraElement, FamilyLabel, FieldElement, FieldMismatchError,
-                       RelationId, SingularTransformError, SParams, Transform, field_from_spec,
-                       rep_system)
+                       InfiniteFieldError, RelationId, SingularTransformError, SParams, Transform,
+                       field_from_spec, rep_system)
 
 F3 = field_from_spec("F3")
 F5 = field_from_spec("F5")
@@ -110,3 +111,40 @@ def test_the_tuple_routes_check_too():
     unchecked = tuple.__new__(Transform, (F5.one(),) * 4)
     with pytest.raises(SingularTransformError):
         identity @ unchecked
+
+
+# the values each record of field elements is built from: ints, and None for an element
+ELEMENT_RECORDS = {SParams: (0, None, 1, -1, None, 2), Transform: (None, 1, 0, 1)}
+# a field spec and an element of it that is not an int
+FIELD_ELEMENTS = [("F5", "3"), ("F9", "w+1"), ("Q", "-2/3"), ("F2(X)", "(X^2+1)/(X)")]
+
+
+@pytest.mark.parametrize("spec,text", FIELD_ELEMENTS)
+@pytest.mark.parametrize("cls", ELEMENT_RECORDS, ids=lambda cls: cls.__name__)
+def test_element_records_convert_both_ways(cls, spec, text):
+    f = field_from_spec(spec)
+    e = f.parse(text)
+    values = [e if v is None else v for v in ELEMENT_RECORDS[cls]]
+    r = cls.from_ints(f, *values)
+    assert type(r) is cls and r.field == f
+    assert all(x is v if v is e else x == f.from_int(v) for x, v in zip(r, values))
+    assert list(r.to_json()) == list(r._fields)
+    assert type(r).from_json(f, r.to_json()) == r
+    if f.is_finite:
+        assert cls.from_codes(f, r.codes()) == r
+    else:
+        with pytest.raises(InfiniteFieldError):
+            r.codes()
+
+
+def test_from_ints_takes_one_value_per_field():
+    with pytest.raises(TypeError):
+        SParams.from_ints(F5, 1, 2)
+    with pytest.raises(TypeError):
+        Transform.from_ints(F5, 1, 2, 3)
+
+
+def test_from_json_reads_a_number_as_its_string():
+    assert (SParams.from_json(F5, {"p": 0, "q": 1, "a": 1, "b": 0, "c": 4, "d": 7})
+            == SParams.from_ints(F5, 0, 1, 1, 0, 4, 2))
+    assert Transform.from_json(F5, {"x": 1, "y": 2, "z": 0, "w": 1}) == build("Transform", F5)
