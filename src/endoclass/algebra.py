@@ -163,37 +163,22 @@ def _square(t: FieldTables, m: tuple[int, ...], u: int, v: int) -> tuple[int, in
             add[add[mul[uu][r1f]][mul[vv][r2f]]][add[mul[uv][r3f]][mul[uv][r4f]]])
 
 
-def _square_tables(t: FieldTables, m: tuple[int, ...]):
-    """Coordinates of (u e + v f)^2 for every element code pair, flat u*q+v."""
-    rng = range(t.q)
-    squares = [_square(t, m, u, v) for u in rng for v in rng]
-    return [s for s, _ in squares], [s2 for _, s2 in squares]
+def _product(t: FieldTables, m: tuple[int, ...], x, y) -> tuple[int, int]:
+    """Coordinates of x*y for the points x = (u1, v1) and y = (u2, v2)."""
+    add, mul = t.add, t.mul
+    r1e, r1f, r2e, r2f, r3e, r3f, r4e, r4f = m
+    (u1, v1), (u2, v2) = x, y
+    uu, vv, uv, vu = mul[u1][u2], mul[v1][v2], mul[u1][v2], mul[v1][u2]
+    return (add[add[mul[uu][r1e]][mul[vv][r2e]]][add[mul[uv][r3e]][mul[vu][r4e]]],
+            add[add[mul[uu][r1f]][mul[vv][r2f]]][add[mul[uv][r3f]][mul[vu][r4f]]])
 
 
 def _ec_definitional_codes(t: FieldTables, m: tuple[int, ...]) -> bool:
-    q, add, mul = t.q, t.add, t.mul
-    r1e, r1f, r2e, r2f, r3e, r3f, r4e, r4f = m
-    sqe, sqf = _square_tables(t, m)
-    for u1 in range(q):
-        mu1 = mul[u1]
-        for v1 in range(q):
-            mv1 = mul[v1]
-            i = u1 * q + v1
-            mxe, mxf = mul[sqe[i]], mul[sqf[i]]
-            for u2 in range(q):
-                a, d = mu1[u2], mv1[u2]
-                for v2 in range(q):
-                    b, c = mv1[v2], mu1[v2]
-                    xye = add[add[mul[a][r1e]][mul[b][r2e]]][add[mul[c][r3e]][mul[d][r4e]]]
-                    xyf = add[add[mul[a][r1f]][mul[b][r2f]]][add[mul[c][r3f]][mul[d][r4f]]]
-                    k = xye * q + xyf
-                    j = u2 * q + v2
-                    a2, b2, c2, d2 = mxe[sqe[j]], mxf[sqf[j]], mxe[sqf[j]], mxf[sqe[j]]
-                    if sqe[k] != add[add[mul[a2][r1e]][mul[b2][r2e]]][add[mul[c2][r3e]][mul[d2][r4e]]]:
-                        return False
-                    if sqf[k] != add[add[mul[a2][r1f]][mul[b2][r2f]]][add[mul[c2][r3f]][mul[d2][r4f]]]:
-                        return False
-    return True
+    """x^2 y^2 = (x y)^2 for every pair of points x, y."""
+    points = [(u, v) for u in range(t.q) for v in range(t.q)]
+    squares = {x: _product(t, m, x, x) for x in points}
+    return all(squares[_product(t, m, x, y)] == _product(t, m, squares[x], squares[y])
+               for x in points for y in points)
 
 
 def is_endo_commutative_definitional(A: StructureMatrix) -> bool:

@@ -45,6 +45,9 @@ MAX_DEGREE = 8
 # moduli and F2(X) parts are expanded densely, so w^1000000 would
 # allocate (and reduce) a million coefficients
 MAX_EXPONENT = 4096
+# the most digits of a number in a field spec or polynomial: the default
+# limit of int() on strings, which beyond it raises advice about its settings
+MAX_DIGITS = 4300
 
 KIND_PRIME = "prime"
 KIND_EXTENSION = "extension"
@@ -102,6 +105,14 @@ def _poly_mod(a, b, p):
     return _poly_trim(a)
 
 
+def _decimal(digits: str, what: str) -> int:
+    """int(digits), for a decimal string of at most MAX_DIGITS digits."""
+    if len(digits) > MAX_DIGITS:
+        raise FieldError(f"{what} with {len(digits)} digits is too long to read "
+                         f"(at most {MAX_DIGITS})")
+    return int(digits)
+
+
 def _poly_to_code(coeffs, p: int) -> int:
     code = 0
     for c in reversed(coeffs):
@@ -141,13 +152,13 @@ def _parse_poly(s: str, p: int) -> tuple[int, ...]:
         m = _TERM_RE.match(term.strip())
         if not m or (m.group(1) is None and m.group(2) is None):
             raise FieldError(f"malformed polynomial term: {term!r}")
-        coef = int(m.group(1)) if m.group(1) is not None else 1
+        coef = _decimal(m.group(1), "coefficient") if m.group(1) is not None else 1
         if m.group(2) is not None:
             if varname is None:
                 varname = m.group(2)
             elif varname != m.group(2):
                 raise FieldError(f"mixed variables in polynomial: {s!r}")
-            exp = int(m.group(3)) if m.group(3) is not None else 1
+            exp = _decimal(m.group(3), "exponent") if m.group(3) is not None else 1
             if exp > MAX_EXPONENT:
                 raise FieldError(f"exponent {exp} exceeds the supported maximum {MAX_EXPONENT}")
         else:
@@ -782,7 +793,8 @@ def field_make(spec: FieldDescriptor) -> Field:
     """
     # bound p and k before _is_prime: trial division of a huge p runs for minutes
     if spec.kind in (KIND_PRIME, KIND_EXTENSION) and not isinstance(spec.p, int):
-        raise FieldError(f"{spec.p} is not prime")
+        raise FieldError("the characteristic must be an int, "
+                         f"got {type(spec.p).__name__} {spec.p!r}")
     if spec.kind == KIND_PRIME:
         p = spec.p
         if p > MAX_PRIME:
@@ -831,8 +843,8 @@ def field_from_spec(s: str) -> Field:
     m = _SPEC_RE.match(s)
     if not m:
         raise FieldError(f"unrecognized field spec {s!r}")
-    n = int(m.group(1))
-    k = int(m.group(2)) if m.group(2) is not None else 1
+    n = _decimal(m.group(1), "field order")
+    k = _decimal(m.group(2), "extension degree") if m.group(2) is not None else 1
     # bound the numbers before any arithmetic on them: primality is
     # trial division and p**k can be astronomically large
     if n > MAX_ORDER or k > MAX_DEGREE:

@@ -28,15 +28,17 @@ its X.  `sform_orbit` takes the params of one S-form, builds the plain
 set of its orbit for the isomorphism partition, expanding each scaling
 class of rewrites once, and counts its automorphisms with `_landings`.
 Any other target falls back to enumerating all (q^2-1)(q^2-q)
-invertible matrices in lexicographic order.  All of these run on
-integer codes.
+invertible matrices in lexicographic order; `apply_transform_codes`
+scores each X by the products of X^(-1)'s rows, the new basis, read in
+new coordinates through X^T.  All of these run on integer codes.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
-from .algebra import SParams, StructureMatrix, _gauss_jordan, straight_bases
+from .algebra import SParams, StructureMatrix, _gauss_jordan, _product, straight_bases
 from .fields import Field, FieldElement, FieldMismatchError, FieldTables, _ElementRecord
 
 
@@ -199,51 +201,29 @@ def check_iso_system(S: SParams, S2: SParams, X: Transform) -> bool:
 # coded search kernel
 # ---------------------------------------------------------------------------
 
-def _lifted_inverse_codes(t: FieldTables, x: int, y: int, z: int, w: int):
-    """Lift of X^(-1) as a flat 16-tuple of codes (det must be nonzero)."""
-    mul, neg = t.mul, t.neg
-    ny = neg[y]
-    di = t.inv[t.add[mul[x][w]][mul[ny][z]]]
-    a = mul[w][di]
-    b = mul[ny][di]
-    c = mul[neg[z]][di]
-    d = mul[x][di]
-    ab, cd, ac, bd, ad, bc = mul[a][b], mul[c][d], mul[a][c], mul[b][d], mul[a][d], mul[b][c]
-    return (mul[a][a], mul[b][b], ab, ab,
-            mul[c][c], mul[d][d], cd, cd,
-            ac, bd, ad, bc,
-            ac, bd, bc, ad)
-
-
 def gl2_lifted(field: Field):
-    """(x, y, z, w, lifted inverse) over all of GL2, in lexicographic
-    code order."""
-    t = field.tables()
-    q, mul = t.q, t.mul
-    rng = range(q)
-    for x in rng:
-        mx = mul[x]
-        for y in rng:
-            my = mul[y]
-            for z in rng:
-                yz = my[z]
-                for w in rng:
-                    if mx[w] != yz:
-                        yield x, y, z, w, _lifted_inverse_codes(t, x, y, z, w)
+    """(x, y, z, w) codes of all of GL2, in lexicographic order.
+
+    It yields no lifts, but keeps its name: perfbench/tracer.py wraps
+    `iso.gl2_lifted` by name."""
+    mul = field.tables().mul
+    return (X for X in itertools.product(range(field.order()), repeat=4)
+            if mul[X[0]][X[3]] != mul[X[1]][X[2]])
 
 
-def apply_transform_codes(t: FieldTables, L, A, x: int, y: int, z: int, w: int):
-    """lift-inverse L (flat 16 codes) times structure codes A times X."""
-    add, mul = t.add, t.mul
-    a1e, a1f, a2e, a2f, a3e, a3f, a4e, a4f = A
-    out = []
-    for i in (0, 4, 8, 12):
-        l0, l1, l2, l3 = L[i], L[i + 1], L[i + 2], L[i + 3]
-        me = add[add[mul[l0][a1e]][mul[l1][a2e]]][add[mul[l2][a3e]][mul[l3][a4e]]]
-        mf = add[add[mul[l0][a1f]][mul[l1][a2f]]][add[mul[l2][a3f]][mul[l3][a4f]]]
-        out.append(add[mul[me][x]][mul[mf][z]])
-        out.append(add[mul[me][y]][mul[mf][w]])
-    return tuple(out)
+def apply_transform_codes(t: FieldTables, m, x: int, y: int, z: int, w: int):
+    """Structure codes m after the change of basis X = ((x, y), (z, w)).
+
+    The new basis is the rows e', f' of X^(-1); their products e'e', f'f',
+    e'f', f'e' are read in the new coordinates through X^T."""
+    add, mul, neg = t.add, t.mul, t.neg
+    di = t.inv[add[mul[x][w]][mul[neg[y]][z]]]
+    e, f = (mul[w][di], mul[neg[y]][di]), (mul[neg[z]][di], mul[x][di])
+    out = ()
+    for ce, cf in (_product(t, m, e, e), _product(t, m, f, f),
+                   _product(t, m, e, f), _product(t, m, f, e)):
+        out += (add[mul[ce][x]][mul[cf][z]], add[mul[ce][y]][mul[cf][w]])
+    return out
 
 
 def _landings(t: FieldTables, bases, target):
@@ -324,6 +304,6 @@ def are_isomorphic(A: StructureMatrix, A2: StructureMatrix):
     if target[:2] == (0, 1):
         found = sform_witness(t, src, target[2:])
     else:
-        found = next(((x, y, z, w) for x, y, z, w, L in gl2_lifted(A.field)
-                      if apply_transform_codes(t, L, src, x, y, z, w) == target), None)
+        found = next((X for X in gl2_lifted(A.field)
+                      if apply_transform_codes(t, src, *X) == target), None)
     return None if found is None else Transform.from_codes(A.field, found)

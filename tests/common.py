@@ -42,6 +42,15 @@ def random_element(field, rng):
     return field.element_of_code(rng.randrange(field.order()))
 
 
+def random_transform(field, rng):
+    """A seeded random element of GL2 over a finite field."""
+    q = field.order()
+    while True:
+        x, y, z, w = (field.element_of_code(rng.randrange(q)) for _ in range(4))
+        if x * w != y * z:
+            return Transform(x, y, z, w)
+
+
 def _poly_from_code(code, p, length):
     """The first `length` base-p digits of code, little-endian: the
     coefficient tuple of the element with that code."""

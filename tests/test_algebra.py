@@ -11,8 +11,9 @@ from endoclass import (AlgebraType, FieldMismatchError, InfiniteFieldError,
                        multiply, rank, to_straight_form, transform, type_of)
 
 from endoclass.algebra import pattern_type
+from endoclass.classify import enumerate_type_ii1
 
-from common import el, sp
+from common import el, random_transform, sp
 
 F2 = field_from_spec("F2")
 F3 = field_from_spec("F3")
@@ -53,6 +54,14 @@ def test_multiply_field_mismatch():
     A = sp(F5, 0, 1, 1, 0, -1, 2).to_structure_matrix()
     with pytest.raises(FieldMismatchError):
         multiply(A, element(F3, 1, 0), element(F3, 0, 1))
+
+
+def test_equal_structure_matrices_hash_equal():
+    A = sp(F5, 0, 1, 1, 0, -1, 2).to_structure_matrix()
+    B = StructureMatrix.from_ints(F5, ((0, 1), (0, 1), (1, 0), (4, 2)))
+    assert A == B and hash(A) == hash(B)
+    assert A != StructureMatrix.zero(F5) and A != A.rows
+    assert repr(A) == "StructureMatrix[F5: e*e=(0,1), f*f=(0,1), e*f=(1,0), f*e=(4,2)]"
 
 
 def test_structure_matrix_rejects_a_wrong_shape_and_a_foreign_entry():
@@ -146,6 +155,13 @@ def test_coded_definitional_matches_naive_route():
         A = StructureMatrix.from_ints(
             F4, [[rng.randrange(4) for _ in range(2)] for _ in range(4)])
         assert is_endo_commutative_definitional(A) == _naive_ec_definitional(A)
+    # endo-commutative algebras that are not S-forms: a change of basis
+    # keeps the identity, so each rewritten S-form passes both routes
+    for field in (F5, field_from_spec("F9")):
+        for S in rng.sample(enumerate_type_ii1(field), 2):
+            A = transform(S.to_structure_matrix(), random_transform(field, rng))
+            assert A.codes()[:2] != (0, 1)
+            assert is_endo_commutative_definitional(A) and _naive_ec_definitional(A)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import pytest
 
 from endoclass.cli import _parse, _UsageError, build_parser, main
 from endoclass.equiv import MAX_DEGREE_BOUND
-from endoclass.fields import MAX_EXPONENT
+from endoclass.fields import MAX_DIGITS, MAX_EXPONENT
 
 from common import forbid_scan
 
@@ -266,6 +266,25 @@ def test_exponent_bound_covers_moduli_and_f2x(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "exponent" in err
+
+
+LONG = "1" * (MAX_DIGITS + 1)
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["fields", "--field", f"F{LONG}"], "field order"),
+    (["fields", "--field", f"F2^{LONG}"], "extension degree"),
+    (["fields", "--field", f"F2^2/{LONG}x^2+x+1"], "coefficient"),
+    (["table", "--field", "F4", "--algebra", f"0,1,1,0,1,{LONG}w"], "coefficient"),
+    (["table", "--field", "F4", "--algebra", f"0,1,1,0,1,w^{LONG}"], "exponent"),
+    (["equiv", "--field", "F2(X)", "--relation", "sim3", "--test", f"X^{LONG}", "X"], "exponent"),
+])
+def test_overlong_numbers_are_refused_with_a_bound_message(capsys, argv, what):
+    # int() would raise its own error about sys.set_int_max_str_digits
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (f"endoclass: error: {what} with {MAX_DIGITS + 1} digits is too long "
+                   f"to read (at most {MAX_DIGITS})\n")
 
 
 def test_exponent_bound_f2x_just_below(capsys):

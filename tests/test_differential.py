@@ -381,10 +381,10 @@ def test_sform_orbit_matches_full_generator_scan_on_large_fields(spec):
 
 def gl2_orbit_first_hits(t, gl2, src, key_to_index):
     hits = {}
-    for x, y, z, w, L in gl2:
-        j = key_to_index.get(apply_transform_codes(t, L, src, x, y, z, w))
+    for X in gl2:
+        j = key_to_index.get(apply_transform_codes(t, src, *X))
         if j is not None and j not in hits:
-            hits[j] = (x, y, z, w)
+            hits[j] = X
     return hits
 
 
@@ -413,9 +413,9 @@ def gl2_partition(algebras):
 def gl2_first_witness(A, A2):
     t = A.field.tables()
     src, target = A.codes(), A2.codes()
-    for x, y, z, w, L in gl2_lifted(A.field):
-        if apply_transform_codes(t, L, src, x, y, z, w) == target:
-            return (x, y, z, w)
+    for X in gl2_lifted(A.field):
+        if apply_transform_codes(t, src, *X) == target:
+            return X
     return None
 
 
@@ -441,16 +441,20 @@ def test_are_isomorphic_matches_gl2_search_on_sform_pairs(spec):
 
 
 def test_are_isomorphic_falls_back_on_non_sform_targets():
-    F4 = field_from_spec("F4")
-    mats = [s.to_structure_matrix() for s in enumerate_type_ii1(F4)]
-    swap = tr(F4, 0, 1, 1, 0)
-    positive = transform(mats[0], swap)
-    negative = transform(mats[-1], swap)
-    assert positive.codes()[:2] != (0, 1) and negative.codes()[:2] != (0, 1)
-    w = are_isomorphic(mats[0], positive)
-    assert w is not None and w.codes() == gl2_first_witness(mats[0], positive)
-    assert are_isomorphic(mats[0], negative) is None
-    assert gl2_first_witness(mats[0], negative) is None
+    for spec in ("F4", "F5", "F9"):
+        field = field_from_spec(spec)
+        mats = [s.to_structure_matrix() for s in enumerate_type_ii1(field)]
+        # the first S-form outside the orbit of mats[0], decided on S-forms
+        other = next(A for A in mats if are_isomorphic(mats[0], A) is None)
+        swap = tr(field, 0, 1, 1, 0)
+        positive = transform(mats[0], swap)
+        negative = transform(other, swap)
+        assert positive.codes()[:2] != (0, 1) and negative.codes()[:2] != (0, 1)
+        w = are_isomorphic(mats[0], positive)
+        assert w is not None and w.codes() == gl2_first_witness(mats[0], positive)
+        assert transform(mats[0], w) == positive
+        assert are_isomorphic(mats[0], negative) is None
+        assert gl2_first_witness(mats[0], negative) is None
 
 
 @pytest.mark.parametrize("spec", [s for s in FIELDS_UP_TO_64 if field_from_spec(s).order() <= 27])

@@ -61,6 +61,16 @@ def test_non_prime_rejected():
         field_from_spec("F1")
 
 
+@pytest.mark.parametrize("descriptor, message", [
+    (FieldDescriptor.prime("7"), "the characteristic must be an int, got str '7'"),
+    (FieldDescriptor.extension(None, 2, (1, 1, 1)),
+     "the characteristic must be an int, got NoneType None")])
+def test_descriptor_of_the_wrong_type_is_named(descriptor, message):
+    with pytest.raises(FieldError) as info:
+        field_make(descriptor)
+    assert str(info.value) == message
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(FieldError):
         field_make(FieldDescriptor.extension(2, 2, (1, 0, 1)))  # (x+1)^2
@@ -326,6 +336,38 @@ def test_field_mismatch_raises():
     f7 = field_from_spec("F7")
     with pytest.raises(FieldMismatchError):
         f5.one() + f7.one()
+
+
+@pytest.mark.parametrize("op", [
+    lambda a: a + 1.5, lambda a: a - 1.5, lambda a: 1.5 - a, lambda a: a * 1.5,
+    lambda a: a / 1.5, lambda a: 1.5 / a])
+def test_arithmetic_with_a_foreign_type_is_not_implemented(op):
+    with pytest.raises(TypeError):
+        op(field_from_spec("F5").one())
+
+
+def test_equality_with_a_foreign_type_is_false():
+    one = field_from_spec("F5").one()
+    assert not one == "1"
+    assert one != "1"
+
+
+def test_is_square_field_mismatch():
+    with pytest.raises(FieldMismatchError):
+        is_square(field_from_spec("F5"), field_from_spec("F7").one())
+
+
+@pytest.mark.parametrize("spec", ["F5", "F9", "Q", "F2(X)"])
+def test_equal_fields_hash_equal_and_print_their_spec(spec):
+    f = field_from_spec(spec)
+    g = field_make(f.descriptor)
+    assert f == g and hash(f) == hash(g)
+    assert repr(f) == f"Field({f.spec_string()})"
+
+
+def test_infinite_field_has_no_element_codes():
+    with pytest.raises(InfiniteFieldError):
+        field_from_spec("Q").element_of_code(0)
 
 
 def test_int_coercion():

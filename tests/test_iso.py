@@ -11,7 +11,7 @@ from endoclass import algebra, iso
 from endoclass.classify import enumerate_type_ii1, iso_classes
 from endoclass.iso import gl2_lifted
 
-from common import random_element, sp, tr
+from common import random_element, random_transform, sp, tr
 
 F3 = field_from_spec("F3")
 F5 = field_from_spec("F5")
@@ -27,15 +27,6 @@ def _all_gl2(field):
                     if x * w != y * z:
                         out.append(Transform(x, y, z, w))
     return out
-
-
-def _random_transform(field, rng):
-    q = field.order()
-    while True:
-        codes = [rng.randrange(q) for _ in range(4)]
-        x, y, z, w = (field.element_of_code(c) for c in codes)
-        if x * w != y * z:
-            return Transform(x, y, z, w)
 
 
 # ---------------------------------------------------------------------------
@@ -75,8 +66,8 @@ def test_lift_homomorphism_exhaustive_f3():
 def test_lift_homomorphism_random_f5():
     rng = random.Random(99)
     for _ in range(300):
-        X = _random_transform(F5, rng)
-        Y = _random_transform(F5, rng)
+        X = random_transform(F5, rng)
+        Y = random_transform(F5, rng)
         assert lift(X @ Y) == lift(X) @ lift(Y)
 
 
@@ -84,7 +75,7 @@ def test_gauss_inverse_agrees_with_lift_of_inverse():
     rng = random.Random(5)
     for field in (F5, field_from_spec("F9")):
         for _ in range(60):
-            X = _random_transform(field, rng)
+            X = random_transform(field, rng)
             assert lift(X).inverse() == lift(X.inverse())
 
 
@@ -135,8 +126,8 @@ def test_transform_composition():
     rng = random.Random(17)
     for _ in range(40):
         A = sp(F5, *(rng.randrange(5) for _ in range(6))).to_structure_matrix()
-        X = _random_transform(F5, rng)
-        Y = _random_transform(F5, rng)
+        X = random_transform(F5, rng)
+        Y = random_transform(F5, rng)
         assert transform(transform(A, X), Y) == transform(A, X @ Y)
 
 
@@ -155,9 +146,38 @@ def test_transform_field_mismatch():
         transform(A, Transform.identity(F3))
 
 
+def test_lifted_transform_field_mismatch():
+    with pytest.raises(FieldMismatchError):
+        LiftedTransform.identity(F5) @ LiftedTransform.identity(F3)
+
+
+def test_equal_lifts_hash_equal():
+    L = lift(tr(F5, 1, 2, 0, 4))
+    M = lift(tr(F5, 1, 2, 0, 4))
+    assert L == M and hash(L) == hash(M)
+    assert L != lift(Transform.identity(F5)) and L != L.entries
+    assert repr(LiftedTransform.identity(F3)) == (
+        "LiftedTransform(((1 @ F3, 0 @ F3, 0 @ F3, 0 @ F3), (0 @ F3, 1 @ F3, 0 @ F3, 0 @ F3), "
+        "(0 @ F3, 0 @ F3, 1 @ F3, 0 @ F3), (0 @ F3, 0 @ F3, 0 @ F3, 1 @ F3)))")
+
+
+def test_are_isomorphic_field_mismatch():
+    with pytest.raises(FieldMismatchError):
+        are_isomorphic(sp(F5, 0, 1, 1, 0, -1, 2).to_structure_matrix(),
+                       sp(F3, 0, 1, 1, 0, -1, 2).to_structure_matrix())
+
+
 # ---------------------------------------------------------------------------
 # the eight-equation witness check
 # ---------------------------------------------------------------------------
+
+def test_check_iso_system_field_mismatch():
+    S = sp(F5, 0, -1, 1, 1, -1, 0)
+    with pytest.raises(FieldMismatchError):
+        check_iso_system(S, sp(F3, 0, -1, 1, 1, -1, 0), Transform.identity(F5))
+    with pytest.raises(FieldMismatchError):
+        check_iso_system(S, S, Transform.identity(F3))
+
 
 def test_check_iso_system_identity_iff_equal():
     S = sp(F5, 0, -1, 1, 1, -1, 0)
@@ -218,7 +238,7 @@ def test_check_iso_system_matches_transform():
         for _ in range(300):
             S = sp(field, *(rng.randrange(q) for _ in range(6)))
             S2 = sp(field, *(rng.randrange(q) for _ in range(6)))
-            X = _random_transform(field, rng)
+            X = random_transform(field, rng)
             assert check_iso_system(S, S2, X) == \
                 (transform(S.to_structure_matrix(), X) == S2.to_structure_matrix())
 
@@ -285,26 +305,25 @@ def test_are_isomorphic_infinite_field_rejected():
 
 
 def test_gl2_enumeration_order_and_size():
-    entries = list(gl2_lifted(F3))
-    assert len(entries) == 48
-    quadruples = [(x, y, z, w) for x, y, z, w, _ in entries]
+    quadruples = list(gl2_lifted(F3))
+    assert len(quadruples) == 48
     assert quadruples == sorted(quadruples)
 
 
 def test_coded_transform_matches_element_route():
-    # the integer-coded kernel vs the Gaussian-elimination transform()
+    # the integer-coded kernel (the products of X^-1's rows, read through
+    # X^T) vs transform(), which multiplies by the lift of X^-1
     from endoclass.iso import apply_transform_codes
     rng = random.Random(404)
     for field in (F5, field_from_spec("F8")):
         t = field.tables()
-        lifted = {(x, y, z, w): L for x, y, z, w, L in gl2_lifted(field)}
         q = field.order()
         for _ in range(150):
             S = sp(field, *(field.element_of_code(rng.randrange(q)) for _ in range(6)))
             A = S.to_structure_matrix()
-            X = _random_transform(field, rng)
+            X = random_transform(field, rng)
             xc = X.codes()
-            coded = apply_transform_codes(t, lifted[xc], A.codes(), *xc)
+            coded = apply_transform_codes(t, A.codes(), *xc)
             assert coded == transform(A, X).codes()
 
 
