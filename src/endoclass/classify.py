@@ -2,9 +2,10 @@
 
 The pipeline over a finite field K:
 
-  1. scan all S(0, q, a, b, c, d) with a, c != 0 through the closed-form
-     endo-commutativity system (q^3 (q-1)^2 tuples, integer-coded),
-  2. partition the survivors into isomorphism classes by the orbit of
+  1. write every endo-commutative S(0, q, a, b, c, d) with a, c != 0
+     from the closed form of its four (b, q, d)-strata
+     (`_ii1_closed_form`, O(q^2) steps, integer-coded),
+  2. partition them into isomorphism classes by the orbit of
      the enumeration-least unassigned member (an isomorphism onto an
      S-form is fixed by where it sends x; one x per projective point is
      rewritten and its q - 1 multiples follow by scaling), checking
@@ -16,12 +17,14 @@ The pipeline over a finite field K:
   4. verify that catalog and partition match member for member, and
      solve for one witness per matched predicted member.
 
-One scan serves every type bucket: a type fixes which of p, a and c
-are zero, so each bucket visits q^3 tuples times q - 1 per nonzero
-coordinate, and none for I.001 and I.010, which equation E3 rules out.
-The scan refuses a field on which it would visit more than
-MAX_SCAN_TUPLES tuples, so the admitted fields follow from that one
-number (type II1 and `verify`: q <= 49; III: q <= 25; I: q <= 128).
+One scan serves every type bucket of `enumerate_type`: a type fixes
+which of p, a and c are zero, so each bucket visits q^3 tuples times
+q - 1 per nonzero coordinate, and none for I.001 and I.010, which
+equation E3 rules out.  The scan refuses a field on which it would visit
+more than MAX_SCAN_TUPLES tuples, so the admitted fields follow from
+that one number (type II1: q <= 49; III: q <= 25; I: q <= 128).  The
+closed form scans nothing, but `enumerate_type_ii1`, and with it
+`verify`, keeps the type-II1 scan's guard.
 
 The subclass inventory cross-validates the closed form of the four
 (b, q, d)-strata against the direct scan: `_ii1_closed_form` writes the
@@ -53,14 +56,10 @@ class OversizedFieldError(ValueError):
     """The scan would visit more tuples than the size guard admits."""
 
 
-def _scan(field: Field, types) -> list[tuple[int, ...]]:
-    """Codes of the endo-commutative S(p, q, a, b, c, d) whose type is in
-    `types`, in lexicographic order.
-
-    Each type's (p, a, c) pattern restricts those coordinates to the
-    zero code or to the nonzero codes.  Refused before any work when the
-    tuples to visit exceed MAX_SCAN_TUPLES.
-    """
+def _guard(field: Field, types) -> tuple[FieldTables, list[tuple[bool, bool, bool]]]:
+    """The field's tables and the (p, a, c) patterns of `types` that hold
+    an algebra, refused when scanning them would visit more than
+    MAX_SCAN_TUPLES tuples."""
     t = field.tables()  # raises InfiniteFieldError
     q = t.q
     # with p = 0, E3 (pd + c^2 = pb + a^2) reads a^2 = c^2: a and c vanish
@@ -72,6 +71,19 @@ def _scan(field: Field, types) -> list[tuple[int, ...]]:
         raise OversizedFieldError(
             f"the type-{'/'.join(tp.value for tp in types)} scan over {field.spec_string()} "
             f"would visit {visits:,} tuples, more than the guard of {MAX_SCAN_TUPLES:,}")
+    return t, patterns
+
+
+def _scan(field: Field, types) -> list[tuple[int, ...]]:
+    """Codes of the endo-commutative S(p, q, a, b, c, d) whose type is in
+    `types`, in lexicographic order.
+
+    Each type's (p, a, c) pattern restricts those coordinates to the
+    zero code or to the nonzero codes.  Refused by `_guard` before any
+    work.
+    """
+    t, patterns = _guard(field, types)
+    q = t.q
     full = range(q)
     out = []
     for p_nz, a_nz, c_nz in patterns:
@@ -89,8 +101,13 @@ def _scan(field: Field, types) -> list[tuple[int, ...]]:
 
 def enumerate_type_ii1(field: Field) -> list[SParams]:
     """All endo-commutative S(0, q, a, b, c, d) with a, c != 0, in
-    lexicographic (q, a, b, c, d) code order."""
-    return [SParams.from_codes(field, codes) for codes in _scan(field, (AlgebraType.II_1,))]
+    lexicographic (q, a, b, c, d) code order, from `_ii1_closed_form`.
+
+    The field must pass the type-II1 scan guard, although no tuple is
+    scanned.
+    """
+    t, _ = _guard(field, (AlgebraType.II_1,))
+    return [SParams.from_codes(field, codes) for codes in _ii1_closed_form(t)]
 
 
 class SubclassInventory(NamedTuple):
@@ -169,8 +186,8 @@ def _by_stratum(algebras) -> dict[int, list[SParams]]:
 
 def enumerate_subclasses(field: Field) -> SubclassInventory:
     """Both productions of the four subclasses (closed form and scan)."""
-    scan = enumerate_type_ii1(field)
-    closed = [SParams.from_codes(field, codes) for codes in _ii1_closed_form(field.tables())]
+    scan = [SParams.from_codes(field, codes) for codes in _scan(field, (AlgebraType.II_1,))]
+    closed = enumerate_type_ii1(field)
     return SubclassInventory(field, _by_stratum(closed), _by_stratum(scan), scan)
 
 
@@ -186,7 +203,7 @@ class IsoClass(NamedTuple):
     generators counts the straight generators of the representative and
     automorphisms those carrying it onto itself; outside lists the
     S-forms of its orbit that are absent from the partitioned list (for
-    the type-II1 scan: presentations of other types).
+    the type-II1 list: presentations of other types).
     """
 
     members: list[SParams]
@@ -338,7 +355,7 @@ class MatchEntry(NamedTuple):
 
 class ClassificationReport(NamedTuple):
     """Outcome of matching the predicted families against the exhaustive
-    isomorphism partition of the type-II1 scan."""
+    isomorphism partition of the type-II1 list."""
 
     field: Field
     predicted: list[tuple[FamilyLabel, SParams]]
@@ -399,15 +416,22 @@ def verify_classification(field: Field) -> ClassificationReport:
     type-II1 straight algebra, (b) predicted members are pairwise
     non-isomorphic, (c) the exhaustive partition has exactly as many
     classes as predicted members, (d) every class contains exactly
-    one predicted member, and (e) every orbit passes the
+    one predicted member, (e) every orbit passes the
     orbit-stabilizer check: its S-forms times the automorphisms of the
     representative number its straight generators, and none of its
-    type-II1 S-forms is missing from the scan.  (b) is witnessed by the
-    exhausted orbit scans underlying (d).
+    type-II1 S-forms is missing from the partitioned list, and (f) that
+    list, written by `enumerate_type_ii1` from the closed form, holds
+    N(q) S-forms: (q-1)(3q-1) for odd q and 3(q-1)^2 for even q.  (b)
+    is witnessed by the exhausted orbit scans underlying (d).
     """
-    scan = enumerate_type_ii1(field)  # first: it refuses oversized fields
+    algebras = enumerate_type_ii1(field)  # first: it refuses oversized fields
     failures: list[str] = []
     predicted = theorem_families(field)
+    q = field.order()
+    count = (q - 1) * (3 * q - 1) if q % 2 else 3 * (q - 1) ** 2
+    if len(algebras) != count:
+        failures.append(f"count check: {len(algebras)} type-II1 algebras, "
+                        f"but N({q}) = {count}")
 
     for label, sp in predicted:
         if not is_endo_commutative_straight(sp):
@@ -415,7 +439,7 @@ def verify_classification(field: Field) -> ClassificationReport:
         elif pattern_type(sp) is not AlgebraType.II_1:
             failures.append(f"predicted {label} = {sp} is not of type II1")
 
-    classes = iso_classes(scan)
+    classes = iso_classes(algebras)
 
     for ci, cls in enumerate(classes):
         orbit = len(cls.members) + len(cls.outside)
@@ -479,8 +503,5 @@ def enumerate_type(field: Field, type_name: str, subclass: int | None = None) ->
         raise ValueError("--subclass only applies to type II1")
     if subclass not in (None, 1, 2, 3, 4):
         raise ValueError("subclass must be 1..4")
-    if type_name != "II1":
-        return [SParams.from_codes(field, codes)
-                for codes in _scan(field, _TYPE_ALIASES[type_name])]
-    scan = enumerate_type_ii1(field)
+    scan = [SParams.from_codes(field, codes) for codes in _scan(field, _TYPE_ALIASES[type_name])]
     return scan if subclass is None else _by_stratum(scan)[subclass]

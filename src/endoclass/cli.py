@@ -7,7 +7,7 @@ One binary, subcommand style:
   iso        decide isomorphism of two S-forms, printing a witness
   equiv      decide a relation on K*, print a representative system,
              or run the bounded refutation search over F2(X)
-  classes    isomorphism partition of the type-II1 scan
+  classes    isomorphism partition of the type-II1 algebras
   verify     match the predicted families against the partition
   table      render the 2x2 multiplication table of an S-form
 
@@ -29,10 +29,11 @@ import sys
 from . import __version__
 from .algebra import (SParams, is_endo_commutative_straight, multiplication_table_text,
                       pattern_type, rank)
-from .classify import (_TYPE_ALIASES, enumerate_type, iso_classes, verify_classification)
+from .classify import (_TYPE_ALIASES, enumerate_type, enumerate_type_ii1, iso_classes,
+                       verify_classification)
 from .equiv import (MAX_DEGREE_BOUND, RelationId, UnsupportedRelation,
                     bounded_refutation_search, related, rep_system)
-from .fields import Field, FieldError, RationalFunctionField2, field_from_spec
+from .fields import Field, FieldError, RationalFunctionField2, _echo, field_from_spec
 from .iso import are_isomorphic
 
 
@@ -49,11 +50,11 @@ def _parse_sparams(field: Field, text: str) -> SParams:
         obj = json.loads(text)
         if not (isinstance(obj, dict) and all(isinstance(obj.get(k), str) for k in "pqabcd")):
             raise FieldError("a JSON S-tuple must be an object with string values "
-                             f"for p, q, a, b, c and d, got {text!r}")
+                             f"for p, q, a, b, c and d, got {_echo(text)}")
         return SParams.from_json(field, obj)
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != 6:
-        raise FieldError(f"expected 6 comma-separated values or a JSON object, got {text!r}")
+        raise FieldError(f"expected 6 comma-separated values or a JSON object, got {_echo(text)}")
     return SParams(*(field.parse(p) for p in parts))
 
 
@@ -166,7 +167,7 @@ def cmd_equiv(args) -> int:
 
 def cmd_classes(args) -> int:
     field = field_from_spec(args.field)
-    partition = iso_classes(enumerate_type(field, "II1"))
+    partition = iso_classes(enumerate_type_ii1(field))
     if args.format == "json":
         _emit_json({"field": field.spec_string(),
                     "classes": [c.to_json(i) for i, c in enumerate(partition)]})
@@ -266,7 +267,7 @@ def build_parser() -> _Parser:
     p.add_argument("--degree-bound", type=int,
                    help="bounded refutation search over F2(X) for sim2/sim4")
 
-    add("classes", cmd_classes, "isomorphism partition of the type-II1 scan")
+    add("classes", cmd_classes, "isomorphism partition of the type-II1 algebras")
     add("verify", cmd_verify, "verify the predicted families against the partition")
 
     p = add("table", cmd_table, "render the 2x2 multiplication table", fmt_default="text")

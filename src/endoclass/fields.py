@@ -105,6 +105,14 @@ def _poly_mod(a, b, p):
     return _poly_trim(a)
 
 
+def _echo(s: str, limit: int = 40) -> str:
+    """repr(s) for an error message; past `limit` characters, the repr of
+    the first `limit` with a count of the rest."""
+    if len(s) <= limit:
+        return repr(s)
+    return f"{s[:limit]!r}... ({len(s) - limit:,} more characters)"
+
+
 def _decimal(digits: str, what: str) -> int:
     """int(digits), for a decimal string of at most MAX_DIGITS digits."""
     if len(digits) > MAX_DIGITS:
@@ -137,13 +145,13 @@ def _parse_poly(s: str, p: int) -> tuple[int, ...]:
                 terms.append((sign or 1, buf))
             elif sign:
                 # a second sign in a row, at the start ("--w") or after a term
-                raise FieldError(f"malformed polynomial: {s!r}")
+                raise FieldError(f"malformed polynomial: {_echo(s)}")
             sign = 1 if ch == "+" else -1
             buf = ""
         else:
             buf += ch
     if not buf.strip():
-        raise FieldError(f"malformed polynomial: {s!r}")
+        raise FieldError(f"malformed polynomial: {_echo(s)}")
     terms.append((sign or 1, buf))
 
     coeffs: list[int] = []
@@ -151,13 +159,13 @@ def _parse_poly(s: str, p: int) -> tuple[int, ...]:
     for sign, term in terms:
         m = _TERM_RE.match(term.strip())
         if not m or (m.group(1) is None and m.group(2) is None):
-            raise FieldError(f"malformed polynomial term: {term!r}")
+            raise FieldError(f"malformed polynomial term: {_echo(term)}")
         coef = _decimal(m.group(1), "coefficient") if m.group(1) is not None else 1
         if m.group(2) is not None:
             if varname is None:
                 varname = m.group(2)
             elif varname != m.group(2):
-                raise FieldError(f"mixed variables in polynomial: {s!r}")
+                raise FieldError(f"mixed variables in polynomial: {_echo(s)}")
             exp = _decimal(m.group(3), "exponent") if m.group(3) is not None else 1
             if exp > MAX_EXPONENT:
                 raise FieldError(f"exponent {exp} exceeds the supported maximum {MAX_EXPONENT}")
@@ -613,7 +621,8 @@ class PrimeField(FiniteFieldBase):
         try:
             return self.from_int(int(s.strip()))
         except ValueError:
-            raise FieldError(f"cannot parse {s!r} as an element of {self.spec_string()}") from None
+            raise FieldError(
+                f"cannot parse {_echo(s)} as an element of {self.spec_string()}") from None
 
 
 class ExtensionField(FiniteFieldBase):
@@ -671,11 +680,12 @@ class RationalField(Field):
     def parse(self, s):
         # Fraction would expand exponent notation: 1e99999999 is 10^99999999
         if "e" in s or "E" in s:
-            raise FieldError(f"cannot parse {s!r} as a rational: exponent notation is not accepted")
+            raise FieldError(
+                f"cannot parse {_echo(s)} as a rational: exponent notation is not accepted")
         try:
             return self.element(Fraction(s.strip()))
         except (ValueError, ZeroDivisionError):
-            raise FieldError(f"cannot parse {s!r} as a rational") from None
+            raise FieldError(f"cannot parse {_echo(s)} as a rational") from None
 
     def format(self, el):
         return str(el.payload)
@@ -842,14 +852,14 @@ def field_from_spec(s: str) -> Field:
         return field_make(FieldDescriptor.rational_functions_f2())
     m = _SPEC_RE.match(s)
     if not m:
-        raise FieldError(f"unrecognized field spec {s!r}")
+        raise FieldError(f"unrecognized field spec {_echo(s)}")
     n = _decimal(m.group(1), "field order")
     k = _decimal(m.group(2), "extension degree") if m.group(2) is not None else 1
     # bound the numbers before any arithmetic on them: primality is
     # trial division and p**k can be astronomically large
     if n > MAX_ORDER or k > MAX_DEGREE:
         raise FieldError(f"finite fields are supported up to order {MAX_ORDER} "
-                         f"and extension degree {MAX_DEGREE}, got {s!r}")
+                         f"and extension degree {MAX_DEGREE}, got {_echo(s)}")
     if m.group(2) is not None:
         p = n
         if not _is_prime(p):
@@ -864,7 +874,7 @@ def field_from_spec(s: str) -> Field:
             modulus = default_modulus(p, k)
         return field_make(FieldDescriptor.extension(p, k, modulus))
     if m.group(3) is not None:
-        raise FieldError(f"modulus given without an extension degree in {s!r}")
+        raise FieldError(f"modulus given without an extension degree in {_echo(s)}")
     if _is_prime(n):
         return field_make(FieldDescriptor.prime(n))
     # prime-power shorthand F4, F8, F9, ...: the keys of _DEFAULT_MODULI

@@ -8,6 +8,7 @@ from endoclass import (AlgebraType, FamilyLabel, InfiniteFieldError, OversizedFi
 
 from endoclass.algebra import _TYPE_BY_PATTERN, _ec_straight_codes
 from endoclass.classify import _ii1_closed_form
+from endoclass.cli import main
 
 from common import CHAR2_CATALOG, SMALL_FIELDS, ScanStarted, forbid_scan, sp
 
@@ -69,6 +70,13 @@ def test_inventory_partitions_the_scan(spec):
     union = sorted(c for k in (1, 2, 3, 4) for c in
                    (s.codes() for s in inv.direct_scan[k]))
     assert union == sorted(all_codes)
+
+
+def test_inventory_scans_the_direct_side(monkeypatch):
+    # the direct side is a real scan, never the closed form again
+    forbid_scan(monkeypatch)
+    with pytest.raises(ScanStarted):
+        enumerate_subclasses(F5)
 
 
 def test_subclass_two_is_empty_everywhere():
@@ -246,6 +254,16 @@ def test_verify_orbit_stabilizer_catches_a_dropped_member(monkeypatch):
     assert any("orbit-stabilizer" in f and str(dropped) in f for f in report.failures)
 
 
+def test_verify_count_check_catches_a_dropped_sform(monkeypatch):
+    import endoclass.classify as classify
+    closed = classify._ii1_closed_form
+    monkeypatch.setattr(classify, "_ii1_closed_form", lambda t: closed(t)[1:])
+    report = verify_classification(F5)
+    assert not report.verdict
+    # N(5) = 4 * 14
+    assert "count check: 55 type-II1 algebras, but N(5) = 56" in report.failures
+
+
 def verify_f3_with_families(monkeypatch, edit):
     """Failures of verify over F3 when `edit` rewrites the predicted list."""
     import endoclass.classify as classify
@@ -419,15 +437,18 @@ def test_e3_empty_buckets_visit_no_tuple(monkeypatch, type_name):
     assert enumerate_type(field_from_spec("F256"), type_name) == []
 
 
-def test_scan_guard_covers_the_ii1_scan_and_verify(monkeypatch):
+def test_scan_guard_covers_the_ii1_scan_and_verify(monkeypatch, capsys):
     forbid_scan(monkeypatch)
     F53 = field_from_spec("F53")
     with pytest.raises(OversizedFieldError):
         enumerate_type_ii1(F53)
     with pytest.raises(OversizedFieldError):
         verify_classification(F53)
-    with pytest.raises(ScanStarted):
-        verify_classification(field_from_spec("F49"))
+    # the largest admitted field: verify and classes read the closed form
+    # and start no scan
+    assert verify_classification(field_from_spec("F49")).verdict
+    assert main(["classes", "--field", "F49", "--format", "text"]) == 0
+    assert capsys.readouterr().out.startswith("56 classes over F7^2/")
     with pytest.raises(ValueError, match="subclass"):
         enumerate_type(field_from_spec("F17"), "II1", subclass=5)  # refused before the scan
 

@@ -348,6 +348,22 @@ def test_doubled_leading_sign_is_refused(capsys, argv):
     assert "malformed polynomial" in err
 
 
+@pytest.mark.parametrize("argv, clipped", [
+    (["equiv", "--field", "F7", "--relation", "sim1", "--test", "1" * 4400, "2"],
+     "cannot parse '" + "1" * 40 + "'... (4,360 more characters) as an element of F7"),
+    (["fields", "--field", "F" + "9" * 4000],
+     "got 'F" + "9" * 39 + "'... (3,961 more characters)"),
+    (["table", "--field", "Q", "--algebra", "0,1,1,0,1," + "1" * 4000 + "e"],
+     "cannot parse '" + "1" * 40 + "'... (3,961 more characters) as a rational"),
+])
+def test_overlong_input_is_clipped_in_the_error(capsys, argv, clipped):
+    # the error names the input by its first 40 characters, not whole
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and clipped in err
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize("value, expected", [
     ("12", "12"), ("-3", "-3"), ("6/8", "3/4"), ("0.25", "1/4"), (" 7 ", "7"),
 ])
