@@ -154,15 +154,6 @@ def multiply(A: StructureMatrix, x: AlgebraElement, y: AlgebraElement) -> Algebr
 # endo-commutativity
 # ---------------------------------------------------------------------------
 
-def _square(t: FieldTables, m: tuple[int, ...], u: int, v: int) -> tuple[int, int]:
-    """Coordinates of (u e + v f)^2."""
-    add, mul = t.add, t.mul
-    r1e, r1f, r2e, r2f, r3e, r3f, r4e, r4f = m
-    uu, vv, uv = mul[u][u], mul[v][v], mul[u][v]
-    return (add[add[mul[uu][r1e]][mul[vv][r2e]]][add[mul[uv][r3e]][mul[uv][r4e]]],
-            add[add[mul[uu][r1f]][mul[vv][r2f]]][add[mul[uv][r3f]][mul[uv][r4f]]])
-
-
 def _product(t: FieldTables, m: tuple[int, ...], x, y) -> tuple[int, int]:
     """Coordinates of x*y for the points x = (u1, v1) and y = (u2, v2)."""
     add, mul = t.add, t.mul
@@ -241,7 +232,7 @@ def straight_rewrite(t: FieldTables, m: tuple[int, ...], u: int, v: int):
     """
     add, mul, inv = t.add, t.mul, t.inv
     r1e, r1f, r2e, r2f, r3e, r3f, r4e, r4f = m
-    s, s2 = _square(t, m, u, v)
+    s, s2 = _product(t, m, (u, v), (u, v))
     nv, ns = t.neg[v], t.neg[s]
     det = add[mul[u][s2]][mul[nv][s]]
     if not det:
@@ -253,7 +244,7 @@ def straight_rewrite(t: FieldTables, m: tuple[int, ...], u: int, v: int):
         return (mul[add[mul[ce][s2]][mul[cf][ns]]][di],
                 mul[add[mul[u][cf]][mul[nv][ce]]][di])
 
-    p_, q_ = coords(*_square(t, m, s, s2))  # x^2 * x^2
+    p_, q_ = coords(*_product(t, m, (s, s2), (s, s2)))  # x^2 * x^2
     # x * x^2 and x^2 * x share their e*e and f*f terms
     us, vs2, us2, vs = mul[u][s], mul[v][s2], mul[u][s2], mul[v][s]
     se = add[mul[us][r1e]][mul[vs2][r2e]]

@@ -11,9 +11,11 @@ The pipeline over a finite field K:
      rewritten and its q - 1 multiples follow by scaling), checking
      orbit-stabilizer counts on the way; the orbits are plain sets of
      codes, and no witness is built for a member,
-  3. build the predicted family catalog (two shapes for characteristic
-     != 2, two for characteristic 2, each parametrized by complete
-     representative systems of the relations in `equiv`),
+  3. build the predicted family catalog on codes (`theorem_families`):
+     each of the four families of a characteristic evaluates one row
+     of the closed form (`_ii1_rows`) at a parameter from a complete
+     representative system of a relation in `equiv`, or from K* minus
+     {1, -1}; labels and S-forms are decoded at the end,
   4. verify that catalog and partition match member for member, and
      solve for one witness per matched predicted member.
 
@@ -120,6 +122,45 @@ class SubclassInventory(NamedTuple):
     scan_all: list[SParams]
 
 
+def _ii1_rows(t: FieldTables):
+    """The rows of the type-II1 closed form, each a map of the codes of
+    its free parameters (`_ii1_closed_form` derives them):
+      row1(a, d)            = (0, a, a, 0, -a, d),
+      signed(a, eps, delta) = (0, eps a, a, 0, delta a, 0), eps, delta = +-1,
+      row3(a, b)            = (0, -a, a, b, -a, 0),
+      row4(b, d)            = (0, (b+d)^2/4, (d^2-b^2)/4, b, -(d^2-b^2)/4, d)
+                              in odd characteristic,
+      row4(b, q)            = (0, q, a, b, a, b), a the square root of
+                              q(q + b^2), in characteristic 2.
+    For nonzero parameters, row 4 is of type II1 exactly when its a is
+    nonzero: d != +-b, or q != b^2.
+    """
+    add, mul, neg = t.add, t.mul, t.neg
+    sign = {1: 1, -1: neg[1]}
+
+    def row1(a, d):
+        return (0, a, a, 0, neg[a], d)
+
+    def signed(a, eps, delta):
+        return (0, mul[sign[eps]][a], a, 0, mul[sign[delta]][a], 0)
+
+    def row3(a, b):
+        return (0, neg[a], a, b, neg[a], 0)
+
+    if t.p == 2:
+        def row4(b, q):
+            a = t.square_root(mul[q][add[q][mul[b][b]]])
+            return (0, q, a, b, a, b)
+    else:
+        quarter = t.inv[add[add[1][1]][add[1][1]]]
+
+        def row4(b, d):
+            a, s = mul[add[mul[d][d]][neg[mul[b][b]]]][quarter], add[b][d]
+            return (0, mul[mul[s][s]][quarter], a, b, neg[a], d)
+
+    return row1, signed, row3, row4
+
+
 def _ii1_closed_form(t: FieldTables) -> list[tuple[int, ...]]:
     """Codes of every endo-commutative type-II1 S-form, sorted and free of
     duplicates, from the closed form of its four (b, q, d)-strata: O(q^2).
@@ -150,29 +191,16 @@ def _ii1_closed_form(t: FieldTables) -> list[tuple[int, ...]]:
         a^2 = q(q + b^2).  Squaring is one-to-one, so a is the square
         root of q(q + b^2), nonzero exactly when q != b^2:
         (0, q, a, b, a, b).
+    These are the rows of `_ii1_rows`, taken over every nonzero a and b
+    and every d; row 4 keeps the parameters (b, d) or (b, q) that give
+    a nonzero a.
     """
-    n, add, mul, neg = t.q, t.add, t.mul, t.neg
-    units = range(1, n)
-    signs = {1, neg[1]}
-    out = {(0, a, a, 0, neg[a], d) for a in units for d in range(n)}
-    out.update((0, mul[eps][a], a, 0, mul[delta][a], 0)
-               for a in units for eps in signs for delta in signs)
-    out.update((0, neg[a], a, b, neg[a], 0) for a in units for b in units)
-    if t.p == 2:
-        for b in units:
-            bb = mul[b][b]
-            for q in units:
-                a = t.square_root(mul[q][add[q][bb]])
-                if a:
-                    out.add((0, q, a, b, a, b))
-    else:
-        quarter = t.inv[add[add[1][1]][add[1][1]]]
-        for b in units:
-            for d in units:
-                if d != b and d != neg[b]:
-                    a = mul[add[mul[d][d]][neg[mul[b][b]]]][quarter]
-                    s = add[b][d]
-                    out.add((0, mul[mul[s][s]][quarter], a, b, neg[a], d))
+    row1, signed, row3, row4 = _ii1_rows(t)
+    units = range(1, t.q)
+    out = {row1(a, d) for a in units for d in range(t.q)}
+    out.update(signed(a, eps, delta) for a in units for eps in (1, -1) for delta in (1, -1))
+    out.update(row3(a, b) for a in units for b in units)
+    out.update(row for b in units for x in units if (row := row4(b, x))[2])
     return sorted(out)
 
 
@@ -294,52 +322,54 @@ class FamilyLabel(NamedTuple):
 def theorem_families(field: Field) -> list[tuple[FamilyLabel, SParams]]:
     """The predicted isomorphism-class representatives over a finite field.
 
-    Characteristic != 2: S(0,1,1,0,-1,2); S(0,4,-4,-4,4,0);
-    S(0, eps*t, t, 0, delta*t, 0) for t in a complete representative
-    system of sim1 and eps, delta = +-1; and
-    S(0, (1+t)^2/4, (t^2-1)/4, 1, (1-t^2)/4, t) for t in K* minus {1,-1}.
+    Each family evaluates one row of `_ii1_rows` at its parameter t, on
+    codes: t runs over a complete representative system of a relation
+    in `equiv`, or over K* minus {1, -1}.  Labels and S-forms are
+    decoded at the end.
 
-    Characteristic 2: S(0,t,t,0,t,1) for t over sim2 representatives;
-    S(0,t,t,0,t,0) over sim3; S(0,t,t,t,t,0) over sim4; and
-    S(0, t^2/(1+t^2), t/(1+t^2), 1, t/(1+t^2), 1) for t in K* minus {1}.
+    Characteristic != 2:
+      S1 = S(0,1,1,0,-1,2)                    row1 at (a, d) = (1, 2);
+      S2 = S(0,4,-4,-4,4,0)                   row3 at (a, b) = (-4, -4);
+      S3(t, eps, delta) = S(0, eps*t, t, 0, delta*t, 0), the signed row
+        at a = t, for t over sim1 representatives and eps, delta = +-1;
+      S4(t) = S(0, (1+t)^2/4, (t^2-1)/4, 1, (1-t^2)/4, t), row4 at
+        (b, d) = (1, t), for t in K* minus {1, -1}.
+
+    Characteristic 2:
+      S1'(t) = S(0,t,t,0,t,1) over sim2 representatives, row1 at (t, 1);
+      S2'(t) = S(0,t,t,0,t,0) over sim3, row1 at (t, 0);
+      S3'(t) = S(0,t,t,t,t,0) over sim4, row3 at (t, t);
+      S4'(t) = S(0, t^2/(1+t^2), t/(1+t^2), 1, t/(1+t^2), 1), row4 at
+        (b, q) = (1, t^2/(1+t^2)), for t in K* minus {1}.
     """
-    elements = field.elements()  # raises InfiniteFieldError on Q and F2(X)
-    zero, one = field.zero(), field.one()
-    out: list[tuple[FamilyLabel, SParams]] = []
-    if field.characteristic() != 2:
-        out.append((FamilyLabel("S1"), SParams.from_ints(field, 0, 1, 1, 0, -1, 2)))
-        out.append((FamilyLabel("S2"), SParams.from_ints(field, 0, 4, -4, -4, 4, 0)))
-        for t in rep_system(RelationId.SIM1, field).representatives:
-            for eps in (1, -1):
-                for delta in (1, -1):
-                    e, dl = field.from_int(eps), field.from_int(delta)
-                    out.append((FamilyLabel("S3", t=t, eps=eps, delta=delta),
-                                SParams(zero, e * t, t, zero, dl * t, zero)))
-        quarter = field.from_int(4).inverse()
-        minus_one = -one
-        for t in elements:
-            if not t or t == one or t == minus_one:
-                continue
-            tt = t * t
-            out.append((FamilyLabel("S4", t=t),
-                        SParams(zero, (one + t) * (one + t) * quarter,
-                                (tt - one) * quarter, one,
-                                (one - tt) * quarter, t)))
+    t = field.tables()  # raises InfiniteFieldError on Q and F2(X)
+    row1, signed, row3, row4 = _ii1_rows(t)
+
+    def reps(rel):
+        return [(field.code_of(r),) for r in rep_system(rel, field).representatives]
+
+    others = [(x,) for x in range(2, t.q) if x != t.neg[1]]  # K* minus {1, -1}
+    if t.p != 2:
+        two, minus_four = field._from_int_payload(2), field._from_int_payload(-4)
+        table = [("S1", [()], lambda: row1(1, two)),
+                 ("S2", [()], lambda: row3(minus_four, minus_four)),
+                 ("S3", [(x, eps, delta) for (x,) in reps(RelationId.SIM1)
+                         for eps in (1, -1) for delta in (1, -1)], signed),
+                 ("S4", others, lambda x: row4(1, x))]
     else:
-        for t in rep_system(RelationId.SIM2, field).representatives:
-            out.append((FamilyLabel("S1'", t=t), SParams(zero, t, t, zero, t, one)))
-        for t in rep_system(RelationId.SIM3, field).representatives:
-            out.append((FamilyLabel("S2'", t=t), SParams(zero, t, t, zero, t, zero)))
-        for t in rep_system(RelationId.SIM4, field).representatives:
-            out.append((FamilyLabel("S3'", t=t), SParams(zero, t, t, t, t, zero)))
-        for t in elements:
-            if not t or t == one:
-                continue
-            den_inv = (one + t * t).inverse()  # 1+t^2 = (1+t)^2 != 0 since t != 1
-            out.append((FamilyLabel("S4'", t=t),
-                        SParams(zero, t * t * den_inv, t * den_inv, one,
-                                t * den_inv, one)))
-    return out
+        mul, square = t.mul, t.square
+        table = [("S1'", reps(RelationId.SIM2), lambda x: row1(x, 1)),
+                 ("S2'", reps(RelationId.SIM3), lambda x: row1(x, 0)),
+                 ("S3'", reps(RelationId.SIM4), lambda x: row3(x, x)),
+                 # 1 + t^2 = (1 + t)^2 != 0 since t != 1
+                 ("S4'", others,
+                  lambda x: row4(1, mul[square[x]][t.inv[t.add[1][square[x]]]]))]
+
+    def label(tag, x=None, *signs):
+        return FamilyLabel(tag, None if x is None else field.element_of_code(x), *signs)
+
+    return [(label(tag, *args), SParams.from_codes(field, row(*args)))
+            for tag, params, row in table for args in params]
 
 
 # ---------------------------------------------------------------------------
@@ -421,8 +451,10 @@ def verify_classification(field: Field) -> ClassificationReport:
     representative number its straight generators, and none of its
     type-II1 S-forms is missing from the partitioned list, and (f) that
     list, written by `enumerate_type_ii1` from the closed form, holds
-    N(q) S-forms: (q-1)(3q-1) for odd q and 3(q-1)^2 for even q.  (b)
-    is witnessed by the exhausted orbit scans underlying (d).
+    N(q) S-forms: (q-1)(3q-1) for odd q and 3(q-1)^2 for even q, and
+    (g) the partition has C(q) classes: q + 7 for odd q, q + 3 for even
+    q >= 4 and 3 for q = 2.  (b) is witnessed by the exhausted orbit
+    scans underlying (d).
     """
     algebras = enumerate_type_ii1(field)  # first: it refuses oversized fields
     failures: list[str] = []
@@ -440,6 +472,10 @@ def verify_classification(field: Field) -> ClassificationReport:
             failures.append(f"predicted {label} = {sp} is not of type II1")
 
     classes = iso_classes(algebras)
+    families = q + 7 if q % 2 else q + 3 if q > 2 else 3
+    if len(classes) != families:
+        failures.append(f"class count check: {len(classes)} isomorphism classes, "
+                        f"but C({q}) = {families}")
 
     for ci, cls in enumerate(classes):
         orbit = len(cls.members) + len(cls.outside)

@@ -4,8 +4,16 @@ parametrized S-form families."""
 
 from endoclass import (RelationId, SParams, Transform, field_from_spec,
                        is_square, related)
+from endoclass.fields import MAX_ORDER, MAX_PRIME, _is_prime
 
 SMALL_FIELDS = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16", "F17"]
+PRIMES = [p for p in range(2, MAX_PRIME + 1) if _is_prime(p)]
+# the (p, k) of every prime-power shorthand, F4 to F256
+SHORTHANDS = [(p, k) for p in PRIMES for k in range(2, 9) if p**k <= MAX_ORDER]
+# every supported finite field by its shorthand, F2 to F256
+FINITE_SPECS = [f"F{n}" for n in sorted(PRIMES + [p**k for p, k in SHORTHANDS])]
+# presentations by a modulus that is not the shorthand's
+OTHER_MODULI = ["F5^1/x+2", "F2^4/x^4+x^3+x^2+x+1", "F3^2/x^2+2x+2"]
 
 
 def F(spec):

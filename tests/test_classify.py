@@ -1,8 +1,9 @@
 import pytest
 
-from endoclass import (AlgebraType, FamilyLabel, InfiniteFieldError, OversizedFieldError,
-                       are_isomorphic, check_iso_system, enumerate_subclasses, enumerate_type,
-                       enumerate_type_ii1, field_from_spec, ii1_subclass,
+from endoclass import (AlgebraType, FamilyLabel, FieldDescriptor, FieldError,
+                       InfiniteFieldError, OversizedFieldError, are_isomorphic,
+                       check_iso_system, enumerate_subclasses, enumerate_type,
+                       enumerate_type_ii1, field_from_spec, field_make, ii1_subclass,
                        is_endo_commutative_straight, iso_classes, theorem_families, transform,
                        type_of, verify_classification)
 
@@ -10,7 +11,8 @@ from endoclass.algebra import _TYPE_BY_PATTERN, _ec_straight_codes
 from endoclass.classify import _ii1_closed_form
 from endoclass.cli import main
 
-from common import CHAR2_CATALOG, SMALL_FIELDS, ScanStarted, forbid_scan, sp
+from common import (CHAR2_CATALOG, FINITE_SPECS, SMALL_FIELDS, ScanStarted, _poly_from_code,
+                    forbid_scan, sp)
 
 F2 = field_from_spec("F2")
 F3 = field_from_spec("F3")
@@ -100,6 +102,13 @@ def test_family_counts():
     assert len(theorem_families(F3)) == 10
     assert len(theorem_families(F4)) == 7
     assert len(theorem_families(F5)) == 12
+    # q + 7 for odd q: S1, S2, 4 sign pairs times 2 sim1 classes of S3,
+    # and q - 3 of S4; q + 3 for even q >= 4: 2 sim2 classes, 1 sim3
+    # class, 2 sim4 classes and q - 2 of S4'
+    for spec in FINITE_SPECS:
+        field = field_from_spec(spec)
+        q = field.order()
+        assert len(theorem_families(field)) == (q + 7 if q % 2 else q + 3 if q > 2 else 3), spec
 
 
 def test_family_members_f2():
@@ -262,6 +271,36 @@ def test_verify_count_check_catches_a_dropped_sform(monkeypatch):
     assert not report.verdict
     # N(5) = 4 * 14
     assert "count check: 55 type-II1 algebras, but N(5) = 56" in report.failures
+
+
+def test_verify_class_count_check_catches_a_dropped_class(monkeypatch):
+    import endoclass.classify as classify
+    partition = classify.iso_classes
+    monkeypatch.setattr(classify, "iso_classes", lambda algebras: partition(algebras)[:-1])
+    report = verify_classification(F5)
+    assert not report.verdict
+    # C(5) = 5 + 7
+    assert "class count check: 11 isomorphism classes, but C(5) = 12" in report.failures
+
+
+@pytest.mark.parametrize("spec, moduli", [("F4", 1), ("F8", 2), ("F9", 3), ("F16", 3),
+                                          ("F25", 10), ("F27", 8)])
+def test_verify_passes_under_every_modulus(spec, moduli):
+    # every monic irreducible modulus of the order, by Gauss's count; the
+    # table build refuses the reducible ones
+    descriptor = field_from_spec(spec).descriptor
+    p, k = descriptor.p, descriptor.k
+    fields = []
+    for code in range(p**k):
+        modulus = _poly_from_code(code, p, k) + (1,)
+        try:
+            fields.append(field_make(FieldDescriptor.extension(p, k, modulus)))
+        except FieldError:
+            pass
+    assert len(fields) == moduli
+    for field in fields:
+        report = verify_classification(field)
+        assert report.verdict, (field.spec_string(), report.failures)
 
 
 def verify_f3_with_families(monkeypatch, edit):

@@ -8,15 +8,9 @@ import pytest
 
 from endoclass import (FieldDescriptor, FieldError, FieldMismatchError,
                        InfiniteFieldError, field_from_spec, field_make, is_square)
-from endoclass.fields import MAX_ORDER, MAX_PRIME, _format_poly, _is_prime, default_modulus
+from endoclass.fields import MAX_ORDER, MAX_PRIME, _format_poly, default_modulus
 
-from common import _poly_from_code, el, poly_mul
-
-PRIMES = [p for p in range(2, MAX_PRIME + 1) if _is_prime(p)]
-# the (p, k) of every prime-power shorthand, F4 to F256
-SHORTHANDS = [(p, k) for p in PRIMES for k in range(2, 9) if p**k <= MAX_ORDER]
-# every finite field by its shorthand, F2 to F256
-SHORTHAND_SPECS = [f"F{n}" for n in sorted(PRIMES + [p**k for p, k in SHORTHANDS])]
+from common import FINITE_SPECS, SHORTHANDS, _poly_from_code, el, poly_mul
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +586,7 @@ def test_first_use_of_a_shorthand_checks_its_modulus_once():
     assert (out.returncode, out.stdout) == (0, "2\n"), out.stderr
 
 
-@pytest.mark.parametrize("spec", SHORTHAND_SPECS + ["F2^4/x^4+x^3+x^2+x+1", "F5^1/x+2"])
+@pytest.mark.parametrize("spec", FINITE_SPECS + ["F2^4/x^4+x^3+x^2+x+1", "F5^1/x+2"])
 def test_element_strings_match_polynomial_printing(spec):
     f = field_from_spec(spec)
     strings = f.element_strings()

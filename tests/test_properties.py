@@ -16,13 +16,10 @@ from hypothesis import given, settings, strategies as st
 from endoclass import (SParams, field_from_spec, gf2x, is_endo_commutative_definitional,
                        is_endo_commutative_straight)
 from endoclass.cli import main
-from endoclass.fields import MAX_ORDER, MAX_PRIME, _is_prime
+
+from common import FINITE_SPECS
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
-
-PRIMES = [p for p in range(2, MAX_PRIME + 1) if _is_prime(p)]
-FINITE_SPECS = [f"F{n}" for n in sorted(
-    PRIMES + [p**k for p in PRIMES for k in range(2, 9) if p**k <= MAX_ORDER])]
 
 Q = field_from_spec("Q")
 F2X = field_from_spec("F2(X)")
