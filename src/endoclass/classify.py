@@ -19,14 +19,19 @@ The pipeline over a finite field K:
   4. verify that catalog and partition match member for member, and
      solve for one witness per matched predicted member.
 
+The S-forms stay code tuples from the closed form through the
+partition, its checks and the matching; `SParams` are decoded only where
+a caller reads them (`enumerate_type_ii1`'s items, `IsoClass.members`,
+`outside` and `representative`, failure texts and the summary).
+
 One scan serves every type bucket of `enumerate_type`: a type fixes
 which of p, a and c are zero, so each bucket visits q^3 tuples times
 q - 1 per nonzero coordinate, and none for I.001 and I.010, which
 equation E3 rules out.  The scan refuses a field on which it would visit
 more than MAX_SCAN_TUPLES tuples, so the admitted fields follow from
 that one number (type II1: q <= 49; III: q <= 25; I: q <= 128).  The
-closed form scans nothing, but `enumerate_type_ii1`, and with it
-`verify`, keeps the type-II1 scan's guard.
+closed form scans nothing, so `enumerate_type_ii1`, and with it
+`verify` and `classes`, admits every supported finite field.
 
 The subclass inventory cross-validates the closed form of the four
 (b, q, d)-strata against the direct scan: `_ii1_closed_form` writes the
@@ -36,6 +41,7 @@ and the scan visits q^3 (q-1)^2 tuples under the guard.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import product
 from typing import NamedTuple
 
@@ -58,10 +64,15 @@ class OversizedFieldError(ValueError):
     """The scan would visit more tuples than the size guard admits."""
 
 
-def _guard(field: Field, types) -> tuple[FieldTables, list[tuple[bool, bool, bool]]]:
-    """The field's tables and the (p, a, c) patterns of `types` that hold
-    an algebra, refused when scanning them would visit more than
-    MAX_SCAN_TUPLES tuples."""
+def _scan(field: Field, types) -> list[tuple[int, ...]]:
+    """Codes of the endo-commutative S(p, q, a, b, c, d) whose type is in
+    `types`, in lexicographic order.
+
+    Each type's (p, a, c) pattern restricts those coordinates to the
+    zero code or to the nonzero codes.  A scan that would visit more
+    than MAX_SCAN_TUPLES tuples raises OversizedFieldError before any
+    work.
+    """
     t = field.tables()  # raises InfiniteFieldError
     q = t.q
     # with p = 0, E3 (pd + c^2 = pb + a^2) reads a^2 = c^2: a and c vanish
@@ -73,19 +84,6 @@ def _guard(field: Field, types) -> tuple[FieldTables, list[tuple[bool, bool, boo
         raise OversizedFieldError(
             f"the type-{'/'.join(tp.value for tp in types)} scan over {field.spec_string()} "
             f"would visit {visits:,} tuples, more than the guard of {MAX_SCAN_TUPLES:,}")
-    return t, patterns
-
-
-def _scan(field: Field, types) -> list[tuple[int, ...]]:
-    """Codes of the endo-commutative S(p, q, a, b, c, d) whose type is in
-    `types`, in lexicographic order.
-
-    Each type's (p, a, c) pattern restricts those coordinates to the
-    zero code or to the nonzero codes.  Refused by `_guard` before any
-    work.
-    """
-    t, patterns = _guard(field, types)
-    q = t.q
     full = range(q)
     out = []
     for p_nz, a_nz, c_nz in patterns:
@@ -101,15 +99,56 @@ def _scan(field: Field, types) -> list[tuple[int, ...]]:
 # type-II1 enumeration and subclass inventory
 # ---------------------------------------------------------------------------
 
-def enumerate_type_ii1(field: Field) -> list[SParams]:
-    """All endo-commutative S(0, q, a, b, c, d) with a, c != 0, in
-    lexicographic (q, a, b, c, d) code order, from `_ii1_closed_form`.
+def _decoded(field: Field, codes) -> list[SParams]:
+    """The `SParams` of each code tuple in `codes`, sharing the field's
+    q elements."""
+    elements = field.elements()
+    return [SParams._make(map(elements.__getitem__, c)) for c in codes]
 
-    The field must pass the type-II1 scan guard, although no tuple is
-    scanned.
+
+class _CodedSForms(Sequence):
+    """S-forms over one finite field held as their (p, q, a, b, c, d)
+    code tuples `codes`: a read-only sequence of `SParams`, decoded as
+    they are read."""
+
+    __slots__ = ("field", "codes")
+
+    def __init__(self, field: Field, codes: list[tuple[int, ...]]):
+        self.field, self.codes = field, codes
+
+    def __len__(self):
+        return len(self.codes)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _decoded(self.field, self.codes[i])
+        return SParams.from_codes(self.field, self.codes[i])
+
+    def __iter__(self):
+        return iter(_decoded(self.field, self.codes))
+
+
+def _coded(algebras) -> tuple[Field | None, list[tuple[int, ...]]]:
+    """(field, code tuples) of S-forms given as `enumerate_type_ii1`
+    returns them or as `SParams` over one field (None for no S-form)."""
+    if isinstance(algebras, _CodedSForms):
+        return algebras.field, algebras.codes
+    algebras = list(algebras)
+    if not algebras:
+        return None, []
+    field = algebras[0].field
+    if any(sp.field != field for sp in algebras):
+        raise ValueError("all algebras must live over one field")
+    return field, [sp.codes() for sp in algebras]
+
+
+def enumerate_type_ii1(field: Field) -> Sequence[SParams]:
+    """All endo-commutative S(0, q, a, b, c, d) with a, c != 0, in
+    lexicographic (q, a, b, c, d) code order, from `_ii1_closed_form`,
+    on every finite field: a sequence of `SParams` that holds their
+    codes and decodes each S-form when it is read.
     """
-    t, _ = _guard(field, (AlgebraType.II_1,))
-    return [SParams.from_codes(field, codes) for codes in _ii1_closed_form(t)]
+    return _CodedSForms(field, _ii1_closed_form(field.tables()))  # raises InfiniteFieldError
 
 
 class SubclassInventory(NamedTuple):
@@ -224,35 +263,48 @@ def enumerate_subclasses(field: Field) -> SubclassInventory:
 # ---------------------------------------------------------------------------
 
 class IsoClass(NamedTuple):
-    """One isomorphism class: members lists the partitioned algebras in
+    """One isomorphism class over `field`, held as codes: member_codes
+    lists the (p, q, a, b, c, d) codes of the partitioned algebras in
     its orbit in input order, so the representative, the
-    enumeration-least member, is the first.
+    enumeration-least member, is the first, and member_indices their
+    positions in the input.
 
     generators counts the straight generators of the representative and
-    automorphisms those carrying it onto itself; outside lists the
-    S-forms of its orbit that are absent from the partitioned list (for
-    the type-II1 list: presentations of other types).
+    automorphisms those carrying it onto itself; outside_codes lists, in
+    code order, the S-forms of its orbit that are absent from the
+    partitioned list (for the type-II1 list: presentations of other
+    types).  `members`, `outside` and `representative` decode them.
     """
 
-    members: list[SParams]
+    field: Field
+    member_codes: list[tuple[int, ...]]
     member_indices: list[int]
     generators: int
     automorphisms: int
-    outside: list[SParams]
+    outside_codes: list[tuple[int, ...]]
+
+    @property
+    def members(self) -> list[SParams]:
+        return _decoded(self.field, self.member_codes)
+
+    @property
+    def outside(self) -> list[SParams]:
+        return _decoded(self.field, self.outside_codes)
 
     @property
     def representative(self) -> SParams:
-        return self.members[0]
+        return SParams.from_codes(self.field, self.member_codes[0])
 
     def to_json(self, index: int) -> dict:
         return {"index": index,
                 "representative": self.representative.to_json(),
-                "size": len(self.members),
+                "size": len(self.member_codes),
                 "members": [m.to_json() for m in self.members]}
 
 
 def iso_classes(algebras) -> list[IsoClass]:
-    """Partition S-form algebras into isomorphism classes.
+    """Partition S-form algebras, as `enumerate_type_ii1` returns them or
+    as `SParams` over one field, into isomorphism classes.
 
     Each class is the orbit of its enumeration-least member, the seed,
     found by one `sform_orbit` scan of the seed's params.  The seed is
@@ -261,34 +313,30 @@ def iso_classes(algebras) -> list[IsoClass]:
     member's class.  `are_isomorphic(seed, member)` gives the least
     witness of a member on demand.
     """
-    algebras = list(algebras)
-    if not algebras:
+    field, codes = _coded(algebras)
+    if not codes:
         return []
-    field = algebras[0].field
-    for sp in algebras:
-        if sp.field != field:
-            raise ValueError("all algebras must live over one field")
     t = field.tables()
     positions: dict[tuple, list[int]] = {}
-    for i, sp in enumerate(algebras):
-        positions.setdefault(sp.codes(), []).append(i)
+    for i, params in enumerate(codes):
+        positions.setdefault(params, []).append(i)
 
-    assigned = [False] * len(algebras)
+    assigned = [False] * len(codes)
     out = []
-    for i, seed in enumerate(algebras):
+    for i, seed in enumerate(codes):
         if assigned[i]:
             continue
-        orbit, generators, automorphisms = sform_orbit(t, seed.codes())
+        orbit, generators, automorphisms = sform_orbit(t, seed)
         hits = sorted(j for params in orbit for j in positions.get(params, ()))
         for j in hits:
             assigned[j] = True
         out.append(IsoClass(
-            members=[algebras[j] for j in hits],
+            field=field,
+            member_codes=[codes[j] for j in hits],
             member_indices=hits,
             generators=generators,
             automorphisms=automorphisms,
-            outside=[SParams.from_codes(field, params)
-                     for params in sorted(orbit) if params not in positions]))
+            outside_codes=sorted(params for params in orbit if params not in positions)))
     return out
 
 
@@ -399,18 +447,23 @@ class ClassificationReport(NamedTuple):
 
     @property
     def counts(self) -> dict:
-        return {"algebras": sum(len(c.members) for c in self.classes),
+        return {"algebras": sum(len(c.member_codes) for c in self.classes),
                 "classes": len(self.classes),
                 "predicted": len(self.predicted)}
 
     def to_json_dict(self) -> dict:
+        return {**self._json_without_classes(),
+                "classes": [c.to_json(i) for i, c in enumerate(self.classes)]}
+
+    def _json_without_classes(self) -> dict:
+        """Every key of `to_json_dict` but "classes", which the CLI
+        formats from the codes of the classes."""
         return {
             "field": self.field.spec_string(),
             "verdict": "pass" if self.verdict else "fail",
             "counts": self.counts,
             "predicted": [{"label": label.to_json(), "params": sp.to_json()}
                           for label, sp in self.predicted],
-            "classes": [c.to_json(i) for i, c in enumerate(self.classes)],
             "matching": [{"label": m.label.to_json(),
                           "params": m.params.to_json(),
                           "class": m.class_index,
@@ -433,7 +486,7 @@ class ClassificationReport(NamedTuple):
             label = str(m.label) if m else "(unmatched)"
             wit = str(m.witness) if m and m.witness else "-"
             lines.append(f"{label:<28} {str(cls.representative):<28} "
-                         f"{len(cls.members):>4}  {wit}")
+                         f"{len(cls.member_codes):>4}  {wit}")
         for f in self.failures:
             lines.append(f"FAIL: {f}")
         return "\n".join(lines)
@@ -454,9 +507,10 @@ def verify_classification(field: Field) -> ClassificationReport:
     N(q) S-forms: (q-1)(3q-1) for odd q and 3(q-1)^2 for even q, and
     (g) the partition has C(q) classes: q + 7 for odd q, q + 3 for even
     q >= 4 and 3 for q = 2.  (b) is witnessed by the exhausted orbit
-    scans underlying (d).
+    scans underlying (d).  The checks read the codes of the list and of
+    the classes; a failure text decodes the S-forms it names.
     """
-    algebras = enumerate_type_ii1(field)  # first: it refuses oversized fields
+    algebras = enumerate_type_ii1(field)  # first: it refuses Q and F2(X)
     failures: list[str] = []
     predicted = theorem_families(field)
     q = field.order()
@@ -478,26 +532,31 @@ def verify_classification(field: Field) -> ClassificationReport:
                         f"but C({q}) = {families}")
 
     for ci, cls in enumerate(classes):
-        orbit = len(cls.members) + len(cls.outside)
+        orbit = len(cls.member_codes) + len(cls.outside_codes)
         if orbit * cls.automorphisms != cls.generators:
             failures.append(
                 f"orbit-stabilizer check: class {ci} has {orbit} S-forms and "
                 f"{cls.automorphisms} automorphisms but {cls.generators} straight generators")
-        for sp in cls.outside:
-            if pattern_type(sp) is AlgebraType.II_1:
+        for codes in cls.outside_codes:
+            if _TYPE_BY_PATTERN[(codes[0] != 0, codes[2] != 0, codes[4] != 0)] \
+                    is AlgebraType.II_1:
                 failures.append(
                     f"orbit-stabilizer check: class {ci} reaches the type-II1 "
-                    f"S-form {sp}, which is absent from the scan")
+                    f"S-form {SParams.from_codes(field, codes)}, "
+                    f"which is absent from the type-II1 list")
 
-    member_to_class = {sp.codes(): ci for ci, cls in enumerate(classes) for sp in cls.members}
+    member_to_class = {codes: ci for ci, cls in enumerate(classes) for codes in cls.member_codes}
 
     t = field.tables()
     matching: list[MatchEntry] = []
     seen_class: dict[int, FamilyLabel] = {}
     for label, sp in predicted:
-        ci = member_to_class.get(sp.codes())
+        codes = sp.codes()
+        ci = member_to_class.get(codes)
         if ci is None:
-            failures.append(f"predicted {label} = {sp} is absent from the type-II1 scan")
+            where = ("is in no computed class" if codes in _coded(algebras)[1]
+                     else "is absent from the type-II1 list")
+            failures.append(f"predicted {label} = {sp} {where}")
             matching.append(MatchEntry(label, sp, None, None))
             continue
         if ci in seen_class:
@@ -505,7 +564,7 @@ def verify_classification(field: Field) -> ClassificationReport:
                 f"predicted {label} and {seen_class[ci]} fall in the same class {ci}")
         seen_class[ci] = label
         # sp lies in the orbit of the representative, so a witness exists
-        xc = sform_witness(t, (0, 1) + classes[ci].representative.codes(), sp.codes())
+        xc = sform_witness(t, (0, 1) + classes[ci].member_codes[0], codes)
         matching.append(MatchEntry(label, sp, ci, Transform.from_codes(field, xc)))
 
     if len(classes) != len(predicted):

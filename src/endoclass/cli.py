@@ -25,6 +25,8 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Iterator
+from types import GeneratorType
 
 from . import __version__
 from .algebra import (SParams, is_endo_commutative_straight, multiplication_table_text,
@@ -37,11 +39,97 @@ from .fields import Field, FieldError, RationalFunctionField2, _echo, field_from
 from .iso import are_isomorphic
 
 
+_PIECE = 1 << 16  # characters per write: a pipe holds 64 KiB
+
+
 def _emit_json(obj: dict) -> None:
-    obj = dict(obj)
-    obj["version"] = __version__
-    json.dump(obj, sys.stdout, sort_keys=True, indent=2)
-    sys.stdout.write("\n")
+    """Write obj and a "version" key as `json.dumps(obj, sort_keys=True,
+    indent=2)` does, then a newline, through `_write`.
+
+    A top-level value may be a generator that yields its own text,
+    already indented as a top-level value (see `_classes_json`); then
+    each top-level value is written on its own, the others encoded and
+    indented one level."""
+    obj = {**obj, "version": __version__}
+    if not any(isinstance(value, GeneratorType) for value in obj.values()):
+        _write([json.dumps(obj, sort_keys=True, indent=2), "\n"])
+        return
+
+    def pieces():
+        sep = "{\n"
+        for key in sorted(obj):
+            value = obj[key]
+            yield f"{sep}  {json.dumps(key)}: "
+            if isinstance(value, GeneratorType):
+                yield from value
+            else:
+                yield json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n  ")
+            sep = ",\n"
+        yield "\n}\n"
+
+    _write(pieces())
+
+
+def _write(pieces) -> None:
+    """Write the text of `pieces` to stdout in whole pieces of _PIECE
+    characters, and the rest at the end.
+
+    A stdout with a binary buffer gets the bytes, and a short write is
+    followed by another from where it stopped: under PYTHONUNBUFFERED
+    the buffer is the raw file, whose short write the text layer would
+    drop, exiting 0 with the output cut."""
+    binary = getattr(sys.stdout, "buffer", None)
+    if binary is None:
+        write = sys.stdout.write
+    else:
+        sys.stdout.flush()
+
+        def write(text):
+            data = memoryview(text.encode())
+            while data:
+                data = data[binary.write(data):]
+    held, size = [], 0
+    for piece in pieces:
+        held.append(piece)
+        size += len(piece)
+        if size >= _PIECE:
+            text = "".join(held)
+            whole = len(text) - len(text) % _PIECE
+            for start in range(0, whole, _PIECE):
+                write(text[start:start + _PIECE])
+            held, size = [text[whole:]], len(text) - whole
+    write("".join(held))
+
+
+def _classes_json(field: Field, classes) -> Iterator[str]:
+    """The text of `[c.to_json(i) for i, c in enumerate(classes)]` as a
+    top-level value of `_emit_json`, formatted from the codes of the
+    classes and the JSON strings of the field's elements, a few hundred
+    members at a time."""
+    if not classes:
+        yield "[]"
+        return
+    quoted = [json.dumps(s) for s in field.element_strings()]
+
+    def sform(indent):
+        # %-format of SParams.to_json() at `indent`, sorted keys a, b, c, d, p, q
+        keys = ",\n".join(f'{indent}  "{k}": %s' for k in "abcdpq")
+        return f"{{\n{keys}\n{indent}}}"
+
+    member, representative = " " * 8 + sform(" " * 8), sform(" " * 6)
+    sep = "[\n"
+    for i, cls in enumerate(classes):
+        codes = cls.member_codes
+        yield f'{sep}    {{\n      "index": {i},\n      "members": [\n'
+        for start in range(0, len(codes), 256):
+            yield (",\n" if start else "") + ",\n".join(
+                member % (quoted[a], quoted[b], quoted[c], quoted[d], quoted[p], quoted[q])
+                for p, q, a, b, c, d in codes[start:start + 256])
+        p, q, a, b, c, d = codes[0]
+        rep = representative % (quoted[a], quoted[b], quoted[c], quoted[d], quoted[p], quoted[q])
+        yield f'\n      ],\n      "representative": {rep},\n      "size": {len(codes)}\n    }}'
+        sep = ",\n"
+    yield "\n  ]"
 
 
 def _parse_sparams(field: Field, text: str) -> SParams:
@@ -169,12 +257,11 @@ def cmd_classes(args) -> int:
     field = field_from_spec(args.field)
     partition = iso_classes(enumerate_type_ii1(field))
     if args.format == "json":
-        _emit_json({"field": field.spec_string(),
-                    "classes": [c.to_json(i) for i, c in enumerate(partition)]})
+        _emit_json({"field": field.spec_string(), "classes": _classes_json(field, partition)})
     else:
         print(f"{len(partition)} classes over {field.spec_string()}")
         for i, c in enumerate(partition):
-            print(f"[{i}] {c.representative}  size {len(c.members)}")
+            print(f"[{i}] {c.representative}  size {len(c.member_codes)}")
     return 0
 
 
@@ -182,7 +269,8 @@ def cmd_verify(args) -> int:
     field = field_from_spec(args.field)
     report = verify_classification(field)
     if args.format == "json":
-        _emit_json(report.to_json_dict())
+        _emit_json({**report._json_without_classes(),
+                    "classes": _classes_json(field, report.classes)})
         print(report.summary_text(), file=sys.stderr)
     else:
         print(report.summary_text())

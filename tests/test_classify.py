@@ -1,7 +1,7 @@
 import pytest
 
 from endoclass import (AlgebraType, FamilyLabel, FieldDescriptor, FieldError,
-                       InfiniteFieldError, OversizedFieldError, are_isomorphic,
+                       InfiniteFieldError, OversizedFieldError, SParams, are_isomorphic,
                        check_iso_system, enumerate_subclasses, enumerate_type,
                        enumerate_type_ii1, field_from_spec, field_make, ii1_subclass,
                        is_endo_commutative_straight, iso_classes, theorem_families, transform,
@@ -181,6 +181,13 @@ def test_iso_classes_handles_duplicates():
     assert len(classes) == 1 and len(classes[0].members) == 2
 
 
+def test_iso_classes_keep_the_input_order():
+    algebras = list(enumerate_type_ii1(F3))[::-1]
+    for cls in iso_classes(algebras):
+        assert cls.member_indices == sorted(cls.member_indices)
+        assert cls.members == [algebras[j] for j in cls.member_indices]
+
+
 def test_iso_classes_representative_is_enumeration_least():
     scan = enumerate_type_ii1(F3)
     for cls in iso_classes(scan):
@@ -281,6 +288,9 @@ def test_verify_class_count_check_catches_a_dropped_class(monkeypatch):
     assert not report.verdict
     # C(5) = 5 + 7
     assert "class count check: 11 isomorphism classes, but C(5) = 12" in report.failures
+    # the family of the dropped class is in the type-II1 list, but in no class
+    assert ("predicted S3(t=2, eps=-1, delta=+1) = S(0, 3, 2, 0, 2, 0) is in no computed class"
+            in report.failures)
 
 
 @pytest.mark.parametrize("spec, moduli", [("F4", 1), ("F8", 2), ("F9", 3), ("F16", 3),
@@ -352,7 +362,7 @@ def test_verify_catches_a_family_absent_from_the_scan(monkeypatch):
     assert absent.codes() not in {s.codes() for s in enumerate_type_ii1(F3)}
     failures = verify_f3_with_families(
         monkeypatch, lambda fams: fams + [(FamilyLabel("extra"), absent)])
-    assert f"predicted extra = {absent} is absent from the type-II1 scan" in failures
+    assert f"predicted extra = {absent} is absent from the type-II1 list" in failures
 
 
 def test_verify_catches_a_wrong_automorphism_count(monkeypatch):
@@ -424,12 +434,24 @@ def test_family_tables_render_as_published_shapes():
 # ---------------------------------------------------------------------------
 
 def test_oversized_guard(monkeypatch):
-    # the tuple bound alone decides, whatever ENDOCLASS_MAX_Q holds
+    # verify reads the closed form: it ignores ENDOCLASS_MAX_Q, and passes
+    # on F53, past the scan's tuple bound, without a scan
     monkeypatch.setenv("ENDOCLASS_MAX_Q", "3")
     assert verify_classification(F5).verdict
     forbid_scan(monkeypatch)
-    with pytest.raises(OversizedFieldError):
-        verify_classification(field_from_spec("F53"))
+    assert verify_classification(field_from_spec("F53")).verdict
+
+
+def test_type_ii1_list_reads_as_a_list_of_sparams():
+    # held as codes, read as SParams: length, items, slices and iteration
+    listed = [SParams.from_codes(F5, c) for c in _ii1_closed_form(F5.tables())]
+    algebras = enumerate_type_ii1(F5)
+    assert len(algebras) == len(listed) == 56
+    assert list(algebras) == listed
+    assert [algebras[i] for i in range(-len(listed), len(listed))] == listed + listed
+    assert algebras[3:40:7] == listed[3:40:7] and algebras[::-1] == listed[::-1]
+    with pytest.raises(IndexError):
+        algebras[len(listed)]
 
 
 def test_enumerate_type_ii1_subclass_filter():
@@ -479,12 +501,10 @@ def test_e3_empty_buckets_visit_no_tuple(monkeypatch, type_name):
 def test_scan_guard_covers_the_ii1_scan_and_verify(monkeypatch, capsys):
     forbid_scan(monkeypatch)
     F53 = field_from_spec("F53")
-    with pytest.raises(OversizedFieldError):
-        enumerate_type_ii1(F53)
-    with pytest.raises(OversizedFieldError):
-        verify_classification(F53)
-    # the largest admitted field: verify and classes read the closed form
-    # and start no scan
+    # past the scan's bound: the type-II1 list, verify and classes read the
+    # closed form and start no scan; N(53) = 52 * 158
+    assert len(enumerate_type_ii1(F53)) == 8216
+    assert verify_classification(F53).verdict
     assert verify_classification(field_from_spec("F49")).verdict
     assert main(["classes", "--field", "F49", "--format", "text"]) == 0
     assert capsys.readouterr().out.startswith("56 classes over F7^2/")

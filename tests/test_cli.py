@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from endoclass.cli import _parse, _UsageError, build_parser, main
+from endoclass import __version__, field_from_spec, iso_classes, verify_classification
+from endoclass.classify import enumerate_type_ii1
+from endoclass.cli import _PIECE, _emit_json, _parse, _UsageError, build_parser, main
 from endoclass.equiv import MAX_DEGREE_BOUND
 from endoclass.fields import MAX_DIGITS, MAX_EXPONENT
 
@@ -316,10 +318,17 @@ def test_degree_bound_above_maximum_is_refused(capsys):
     ["verify", "--field", "F53"],
 ])
 def test_oversized_scan_is_refused_at_once(capsys, monkeypatch, argv):
-    # F256 would be a scan of about 10^12 tuples
+    # enumerate scans, and F256 would be a scan of about 10^12 tuples;
+    # classes and verify read the closed form and admit every field
     forbid_scan(monkeypatch)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
+    if argv[0] != "enumerate":
+        # C(64) = 64 + 3 and C(53) = 53 + 7 classes
+        assert code == 0
+        assert len(json.loads(out)["classes"]) == {"classes": 67, "verify": 60}[argv[0]]
+        assert argv[0] == "classes" or err.splitlines()[1] == "verdict: pass"
+        return
     assert time.perf_counter() - start < 1.0
     assert code == 2 and out == ""
     assert err.count("\n") == 1 and err.startswith("endoclass: error: ")
@@ -376,21 +385,37 @@ def test_rational_integers_fractions_and_decimals_parse(capsys, value, expected)
 
 @pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
 def test_broken_pipe_exits_141_without_traceback(unbuffered):
-    # the F16 partition is about 110 kB of JSON, more than a pipe holds.  An
-    # unbuffered stdout silently drops the rest of a partial write, so one
-    # write of the whole document would exit 0 there; both modes must see 141
+    # the F16 partition (about 110 kB of JSON) and the F17 verify document
+    # (about 130 kB) are more than a pipe holds.  An unbuffered stdout
+    # silently drops the rest of a partial write, so a write that is not
+    # repeated from where it stopped would exit 0 there; both modes must see
+    # 141, and verify must not print its summary
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = unbuffered
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "endoclass", "classes", "--field", "F16"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 141
-    assert err == b""  # in particular, no traceback
+    for argv in (["classes", "--field", "F16"], ["verify", "--field", "F17", "--format", "json"]):
+        proc = subprocess.Popen([sys.executable, "-m", "endoclass", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141, argv
+        assert err == b"", argv  # in particular, no traceback
+
+
+def test_json_follows_what_was_printed_before_it():
+    # stdout into a pipe is block-buffered, and the document goes to its
+    # binary buffer: text printed before a JSON command comes out first
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    script = ("from endoclass.cli import main\n"
+              "print('before')\nmain(['fields', '--field', 'F2'])\nprint('after')")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0 and proc.stderr == b""
+    out = proc.stdout.decode()
+    assert out.startswith("before\n{\n") and out.endswith("\n}\nafter\n")
+    assert json.loads(out[len("before\n"):-len("after\n")])["spec"] == "F2"
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
@@ -673,3 +698,120 @@ def test_table_checks_endo_commutativity_once(capsys, monkeypatch):
     assert main(["table", "--field", "F5", "--algebra=0,1,1,0,-1,2"]) == 0
     assert capsys.readouterr().out.endswith("rank 2, endo-commutative: yes, type II1\n")
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+# ---------------------------------------------------------------------------
+
+def dumped(obj):
+    """The bytes every JSON command prints: json.dumps with a version."""
+    return json.dumps({**obj, "version": __version__}, sort_keys=True, indent=2) + "\n"
+
+
+def json_commands(spec):
+    """One argv of each JSON command the field takes."""
+    field = ["--field", spec]
+    argvs = [["fields", *field], ["table", *field, "--algebra", "0,1,1,0,1,1", "--format", "json"]]
+    if spec == "Q":
+        argvs.append(["equiv", *field, "--relation", "sim1", "--test", "8", "2"])
+    elif spec == "F2(X)":
+        argvs += [["equiv", *field, "--relation", "sim3", "--test", "X", "X+1"],
+                  ["equiv", *field, "--relation", "sim3", "--reps"],
+                  ["equiv", *field, "--relation", "sim2", "--test", "X", "1",
+                   "--degree-bound", "3"]]
+    else:
+        argvs += [["enumerate", *field, "--format", "json"],
+                  ["enumerate", *field, "--format", "json", "--subclass", "3"],
+                  ["iso", *field, "--lhs", "0,1,1,0,1,1", "--rhs", "0,1,1,0,1,0"],
+                  ["equiv", *field, "--relation", "sim1", "--test", "1", "1"],
+                  ["equiv", *field, "--relation", "sim1", "--reps"],
+                  ["classes", *field], ["verify", *field]]
+    return argvs
+
+
+@pytest.mark.parametrize("spec", ["F2", "F3", "F4", "F16", "F17", "F5^1/x+2", "Q", "F2(X)"])
+def test_every_json_command_prints_what_json_dumps_prints(capsys, monkeypatch, spec):
+    from endoclass import cli
+    docs = []
+
+    def recording(obj):
+        docs.append(obj)
+        _emit_json(obj)
+    monkeypatch.setattr(cli, "_emit_json", recording)
+    field = field_from_spec(spec)
+    for argv in json_commands(spec):
+        docs.clear()
+        main(argv)
+        out = capsys.readouterr().out
+        assert len(docs) == 1, argv
+        # verify and classes pass the classes as text; the library gives the objects
+        if argv[0] == "verify":
+            expected = verify_classification(field).to_json_dict()
+        elif argv[0] == "classes":
+            partition = iso_classes(enumerate_type_ii1(field))
+            expected = {"field": field.spec_string(),
+                        "classes": [c.to_json(i) for i, c in enumerate(partition)]}
+        else:
+            expected = docs[0]
+        assert out == dumped(expected), argv
+
+
+def test_verify_json_is_the_report_dict(capsys, monkeypatch):
+    # a failing report too: unmatched classes, failure lines, a null class
+    import endoclass.classify as classify
+    F3 = field_from_spec("F3")
+    assert main(["verify", "--field", "F3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc.pop("version") == __version__
+    assert doc == verify_classification(F3).to_json_dict()
+    families = classify.theorem_families
+    monkeypatch.setattr(classify, "theorem_families",
+                        lambda field: families(field)[:-1] + families(field)[:1])
+    assert main(["verify", "--field", "F3"]) == 1
+    out = capsys.readouterr().out
+    report = verify_classification(F3)
+    assert not report.verdict and out == dumped(report.to_json_dict())
+
+
+def test_classes_json_of_an_empty_partition(capsys, monkeypatch):
+    from endoclass import cli
+    monkeypatch.setattr(cli, "iso_classes", lambda algebras: [])
+    assert main(["classes", "--field", "F3"]) == 0
+    assert capsys.readouterr().out == dumped({"field": "F3", "classes": []})
+
+
+class ShortWrites:
+    """A binary stdout whose write takes at most `limit` bytes a call."""
+
+    def __init__(self, limit):
+        self.limit, self.data, self.offered = limit, bytearray(), []
+
+    def write(self, data):
+        self.offered.append(len(data))
+        taken = bytes(data[:self.limit])
+        self.data += taken
+        return len(taken)
+
+
+class TextStdout:
+    def __init__(self, binary):
+        self.buffer = binary
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("limit", [1, 4093, _PIECE, 3 * _PIECE])
+def test_short_writes_are_written_again_from_where_they_stopped(capsys, monkeypatch, limit):
+    field = field_from_spec("F17")
+    verify_doc = verify_classification(field).to_json_dict()
+    binary = ShortWrites(limit)
+    monkeypatch.setattr(sys, "stdout", TextStdout(binary))
+    assert main(["verify", "--field", "F17"]) == 0
+    big = {"rows": [[str(i)] * 9 for i in range(8000)]}  # one value of about 0.5 MB
+    _emit_json(big)
+    monkeypatch.undo()
+    assert binary.data.decode() == dumped(verify_doc) + dumped(big)
+    assert max(binary.offered) <= _PIECE
+    assert "verdict: pass" in capsys.readouterr().err
