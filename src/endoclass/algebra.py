@@ -54,12 +54,14 @@ class StructureMatrix:
     __slots__ = ("field", "rows")
 
     def __init__(self, field: Field, rows):
-        rows = tuple(tuple(entry for entry in row) for row in rows)
+        rows = tuple(map(tuple, rows))
         if len(rows) != 4 or any(len(r) != 2 for r in rows):
             raise ValueError("a structure matrix needs 4 rows of 2 entries")
         for row in rows:
             for entry in row:
-                if not isinstance(entry, FieldElement) or entry.field != field:
+                # field_make interns fields: identity settles nearly every entry
+                if not isinstance(entry, FieldElement) or (entry.field is not field
+                                                           and entry.field != field):
                     raise FieldMismatchError("structure matrix entries must lie in the owner field")
         self.field = field
         self.rows = rows
@@ -229,34 +231,46 @@ def straight_rewrite(t: FieldTables, m: tuple[int, ...], u: int, v: int):
     X = ((x, y), (z, w)) carries m onto the S-form whose (p, q, a, b, c, d)
     codes are params.  None when {x, x^2} is not a basis (x = 0 or x^2
     in the span of x).
+
+    The products x*x, x^2*x^2, x*x^2 and x^2*x are the bilinear product
+    of `_product`, expanded in place on the `mul` rows of u, v, s, s2
+    (x^2 = s e + s2 f) and 1/det, each bound once.  In a square the cross
+    terms u*v and v*u are one product, so one `mul` row scales both rows
+    3 and 4 of m.  `straight_bases` calls this q + 1 times per algebra;
+    tests/common.py keeps the form through `_product` as its reference.
     """
-    add, mul, inv = t.add, t.mul, t.inv
+    add, mul, neg = t.add, t.mul, t.neg
     r1e, r1f, r2e, r2f, r3e, r3f, r4e, r4f = m
-    s, s2 = _product(t, m, (u, v), (u, v))
-    nv, ns = t.neg[v], t.neg[s]
-    det = add[mul[u][s2]][mul[nv][s]]
+    mu, mv = mul[u], mul[v]
+    m11, m22, m12 = mul[mu[u]], mul[mv[v]], mul[mu[v]]
+    s = add[add[m11[r1e]][m22[r2e]]][add[m12[r3e]][m12[r4e]]]
+    s2 = add[add[m11[r1f]][m22[r2f]]][add[m12[r3f]][m12[r4f]]]
+    nv = neg[v]
+    mnv = mul[nv]
+    det = add[mu[s2]][mnv[s]]
     if not det:
         return None
-    di = inv[det]
-
-    def coords(ce, cf):
-        # old coordinates (ce, cf) in the basis {x, x^2}
-        return (mul[add[mul[ce][s2]][mul[cf][ns]]][di],
-                mul[add[mul[u][cf]][mul[nv][ce]]][di])
-
-    p_, q_ = coords(*_product(t, m, (s, s2), (s, s2)))  # x^2 * x^2
+    ns = neg[s]
+    mdi, ms2, mns = mul[t.inv[det]], mul[s2], mul[ns]
+    # x^2 * x^2
+    m11, m22, m12 = mul[mul[s][s]], mul[ms2[s2]], mul[ms2[s]]
+    pe = add[add[m11[r1e]][m22[r2e]]][add[m12[r3e]][m12[r4e]]]
+    pf = add[add[m11[r1f]][m22[r2f]]][add[m12[r3f]][m12[r4f]]]
     # x * x^2 and x^2 * x share their e*e and f*f terms
-    us, vs2, us2, vs = mul[u][s], mul[v][s2], mul[u][s2], mul[v][s]
-    se = add[mul[us][r1e]][mul[vs2][r2e]]
-    sf = add[mul[us][r1f]][mul[vs2][r2f]]
-    a_, b_ = coords(add[se][add[mul[us2][r3e]][mul[vs][r4e]]],  # x * x^2
-                    add[sf][add[mul[us2][r3f]][mul[vs][r4f]]])
-    c_, d_ = coords(add[se][add[mul[vs][r3e]][mul[us2][r4e]]],  # x^2 * x
-                    add[sf][add[mul[vs][r3f]][mul[us2][r4f]]])
-    # M = ((u, s), (v, s2)) has the new basis x, x^2 as columns;
-    # X = (M^-1)^T has the old basis in new coordinates as rows
-    return (mul[s2][di], mul[nv][di], mul[ns][di], mul[u][di],
-            (p_, q_, a_, b_, c_, d_))
+    mus, mvs2, mus2, mvs = mul[mu[s]], mul[mv[s2]], mul[mu[s2]], mul[mv[s]]
+    se = add[mus[r1e]][mvs2[r2e]]
+    sf = add[mus[r1f]][mvs2[r2f]]
+    ae = add[se][add[mus2[r3e]][mvs[r4e]]]  # x * x^2
+    af = add[sf][add[mus2[r3f]][mvs[r4f]]]
+    ce = add[se][add[mvs[r3e]][mus2[r4e]]]  # x^2 * x
+    cf = add[sf][add[mvs[r3f]][mus2[r4f]]]
+    # old coordinates (e, f) read ((e s2 - f s) / det, (u f - v e) / det)
+    # in the basis {x, x^2}; M = ((u, s), (v, s2)) has the new basis x, x^2
+    # as columns, and X = (M^-1)^T has the old basis in new coordinates as rows
+    return (mdi[s2], mdi[nv], mdi[ns], mdi[u],
+            (mdi[add[ms2[pe]][mns[pf]]], mdi[add[mu[pf]][mnv[pe]]],
+             mdi[add[ms2[ae]][mns[af]]], mdi[add[mu[af]][mnv[ae]]],
+             mdi[add[ms2[ce]][mns[cf]]], mdi[add[mu[cf]][mnv[ce]]]))
 
 
 def straight_bases(t: FieldTables, m: tuple[int, ...]):

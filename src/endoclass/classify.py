@@ -317,9 +317,15 @@ def iso_classes(algebras) -> list[IsoClass]:
     if not codes:
         return []
     t = field.tables()
-    positions: dict[tuple, list[int]] = {}
+    # each S-form's first position; the later positions of a repeated
+    # input, by first position, only when one occurs (the type-II1 list
+    # has none), since a list per S-form doubles the map on F256
+    first: dict[tuple, int] = {}
+    repeats: dict[int, list[int]] = {}
     for i, params in enumerate(codes):
-        positions.setdefault(params, []).append(i)
+        j = first.setdefault(params, i)
+        if j != i:
+            repeats.setdefault(j, []).append(i)
 
     assigned = [False] * len(codes)
     out = []
@@ -327,7 +333,10 @@ def iso_classes(algebras) -> list[IsoClass]:
         if assigned[i]:
             continue
         orbit, generators, automorphisms = sform_orbit(t, seed)
-        hits = sorted(j for params in orbit for j in positions.get(params, ()))
+        hits = [j for j in map(first.get, orbit) if j is not None]
+        if repeats:
+            hits += [k for j in hits for k in repeats.get(j, ())]
+        hits.sort()
         for j in hits:
             assigned[j] = True
         out.append(IsoClass(
@@ -336,7 +345,7 @@ def iso_classes(algebras) -> list[IsoClass]:
             member_indices=hits,
             generators=generators,
             automorphisms=automorphisms,
-            outside_codes=sorted(params for params in orbit if params not in positions)))
+            outside_codes=sorted(params for params in orbit if params not in first)))
     return out
 
 

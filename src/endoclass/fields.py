@@ -238,7 +238,9 @@ class FieldElement:
 
     def _rhs(self, other):
         if isinstance(other, FieldElement):
-            if other.field.descriptor != self.field.descriptor:
+            # `field_make` interns fields, so identity settles nearly every
+            # check; the descriptors decide between two distinct handles
+            if other.field is not self.field and other.field.descriptor != self.field.descriptor:
                 raise FieldMismatchError(
                     f"elements of {self.field.spec_string()} and "
                     f"{other.field.spec_string()} cannot be combined")
@@ -315,7 +317,7 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return (self.field.descriptor == other.field.descriptor
+            return ((self.field is other.field or self.field.descriptor == other.field.descriptor)
                     and self.payload == other.payload)
         if isinstance(other, int):
             return self.payload == self.field._from_int_payload(other)
@@ -374,7 +376,7 @@ class Field:
     #   _add, _mul, _neg, _inv, _from_int_payload
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.descriptor == other.descriptor
+        return self is other or (isinstance(other, Field) and self.descriptor == other.descriptor)
 
     def __hash__(self):
         return hash(self.descriptor)

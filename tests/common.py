@@ -1,9 +1,11 @@
 """Shared test helpers: element shortcuts, a scan that must not start,
+the straight-rewrite kernel written through `_product` as a reference,
 and the catalog of closed-form isomorphism witnesses between
 parametrized S-form families."""
 
 from endoclass import (RelationId, SParams, Transform, field_from_spec,
                        is_square, related)
+from endoclass.algebra import _product, straight_rewrite
 from endoclass.fields import MAX_ORDER, MAX_PRIME, _is_prime
 
 SMALL_FIELDS = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16", "F17"]
@@ -81,6 +83,65 @@ def poly_mul(a, b, p):
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def straight_rewrite_reference(t, m, u, v):
+    """`algebra.straight_rewrite` as it read through `_product`: x*x,
+    x^2*x^2 as two products, x*x^2 and x^2*x sharing their e*e and f*f
+    terms, and a closure that reads old coordinates in the basis
+    {x, x^2}.  The kernel expands these products in place."""
+    add, mul, inv = t.add, t.mul, t.inv
+    r1e, r1f, r2e, r2f, r3e, r3f, r4e, r4f = m
+    s, s2 = _product(t, m, (u, v), (u, v))
+    nv, ns = t.neg[v], t.neg[s]
+    det = add[mul[u][s2]][mul[nv][s]]
+    if not det:
+        return None
+    di = inv[det]
+
+    def coords(ce, cf):
+        return (mul[add[mul[ce][s2]][mul[cf][ns]]][di],
+                mul[add[mul[u][cf]][mul[nv][ce]]][di])
+
+    p_, q_ = coords(*_product(t, m, (s, s2), (s, s2)))
+    us, vs2, us2, vs = mul[u][s], mul[v][s2], mul[u][s2], mul[v][s]
+    se = add[mul[us][r1e]][mul[vs2][r2e]]
+    sf = add[mul[us][r1f]][mul[vs2][r2f]]
+    a_, b_ = coords(add[se][add[mul[us2][r3e]][mul[vs][r4e]]],
+                    add[sf][add[mul[us2][r3f]][mul[vs][r4f]]])
+    c_, d_ = coords(add[se][add[mul[vs][r3e]][mul[us2][r4e]]],
+                    add[sf][add[mul[vs][r3f]][mul[us2][r4f]]])
+    return (mul[s2][di], mul[nv][di], mul[ns][di], mul[u][di],
+            (p_, q_, a_, b_, c_, d_))
+
+
+def line_points(q):
+    """The first point of each line through 0, in `straight_bases` order."""
+    return [(1, 0), (0, 1)] + [(u, 1) for u in range(1, q)]
+
+
+def kernel_mismatch(t, m, points):
+    """The first point (u, v) of `points` on which `straight_rewrite` and
+    `straight_rewrite_reference` differ for structure codes m, or None."""
+    return next(((u, v) for u, v in points
+                 if straight_rewrite(t, m, u, v) != straight_rewrite_reference(t, m, u, v)),
+                None)
+
+
+def random_structure_codes(t, rng):
+    """Seeded structure codes over the field of tables t: arbitrary
+    8-tuples, most of them not endo-commutative, and algebras with
+    det = 0 lines: curled ones (det = 0 on every line), the zero algebra,
+    and e*e = e, f*f = f, where x^2 = (u^2, v^2) gives det = 0 on the
+    lines of e, f and e + f only."""
+    q, add, neg = t.q, t.add, t.neg
+    out = [tuple(rng.randrange(q) for _ in range(8)) for _ in range(12)]
+    for _ in range(3):
+        # x^2 = (alpha u + beta v) x: e*e = alpha e, f*f = beta f, e*f + f*e = beta e + alpha f
+        alpha, beta, r, s = (rng.randrange(q) for _ in range(4))
+        out.append((alpha, 0, 0, beta, r, s, add[beta][neg[r]], add[alpha][neg[s]]))
+    out += [(0,) * 8, (1, 0, 0, 1, 0, 0, 0, 0)]
+    return out
 
 
 class ScanStarted(Exception):

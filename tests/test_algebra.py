@@ -73,6 +73,30 @@ def test_structure_matrix_rejects_a_wrong_shape_and_a_foreign_entry():
         StructureMatrix(F5, ((one, zero),) * 3 + ((one, F3.one()),))
 
 
+@pytest.mark.parametrize("entry", [1, "1", None, 1.0, (1, 0)])
+def test_structure_matrix_rejects_a_non_element_entry(entry):
+    one = F5.one()
+    with pytest.raises(FieldMismatchError,
+                       match="^structure matrix entries must lie in the owner field$"):
+        StructureMatrix(F5, ((one, one),) * 3 + ((entry, one),))
+
+
+def test_structure_matrix_rejects_a_row_of_three_entries():
+    one = F5.one()
+    with pytest.raises(ValueError, match="^a structure matrix needs 4 rows of 2 entries$"):
+        StructureMatrix(F5, ((one, one),) * 3 + ((one, one, one),))
+
+
+# the first entry names the field, so an int can only stand after it
+@pytest.mark.parametrize("position, foreign", [(i, F3.one()) for i in range(6)]
+                         + [(i, 1) for i in range(1, 6)])
+def test_to_structure_matrix_rejects_an_entry_outside_the_first_field(position, foreign):
+    entries = [F5.one()] * 6
+    entries[position] = foreign
+    with pytest.raises(FieldMismatchError):
+        SParams(*entries).to_structure_matrix()
+
+
 def test_multiply_bilinear_randomized():
     rng = random.Random(7)
     A = StructureMatrix.from_ints(

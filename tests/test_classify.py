@@ -181,6 +181,18 @@ def test_iso_classes_handles_duplicates():
     assert len(classes) == 1 and len(classes[0].members) == 2
 
 
+def test_iso_classes_keep_every_position_of_a_repeated_input():
+    a, b = sp(F5, 0, 1, 1, 0, -1, 2), sp(F5, 0, 4, 4, 0, -4, 4)  # one class
+    c = sp(F5, 0, 4, -4, -4, 4, 0)
+    algebras = [c, a, b, a, c, b, a]
+    classes = iso_classes(algebras)
+    assert [cls.member_indices for cls in classes] == [[0, 4], [1, 2, 3, 5, 6]]
+    inputs = {x.codes() for x in algebras}
+    for cls in classes:
+        assert cls.members == [algebras[j] for j in cls.member_indices]
+        assert cls.outside_codes and not inputs & set(cls.outside_codes)
+
+
 def test_iso_classes_keep_the_input_order():
     algebras = list(enumerate_type_ii1(F3))[::-1]
     for cls in iso_classes(algebras):

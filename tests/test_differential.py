@@ -8,6 +8,11 @@
 * The lookup of printed element strings against the polynomial parser.
 * The projective-point orbit derivation against the loop that rewrites
   every straight generator in full.
+* The straight-rewrite kernel, its products expanded in place, against
+  the kernel that calls `_product` for them: on every line of every
+  type-II1 S-form for q <= 17, and on seeded structure codes of every
+  supported field, curled ones and ones that are not endo-commutative
+  among them.
 * The orbit sets and automorphism counts of `sform_orbit` on S-forms,
   expanding each scaling class once, against the loop that rewrites every
   straight generator in full, on every field up to q = 32 and on family
@@ -39,15 +44,18 @@ from endoclass import (RelationId, Transform, are_isomorphic, field_from_spec, g
                        is_curled, is_square, lift, related, theorem_families,
                        to_straight_form, transform)
 from endoclass.algebra import (_TYPE_BY_PATTERN, StructureMatrix, _ec_straight_codes,
-                               straight_bases)
-from endoclass.classify import _TYPE_ALIASES, enumerate_type, enumerate_type_ii1, iso_classes
+                               straight_bases, straight_rewrite)
+from endoclass.classify import (_TYPE_ALIASES, _ii1_closed_form, enumerate_type,
+                                enumerate_type_ii1, iso_classes)
 from endoclass.equiv import (RepSystem, UnsupportedRelation, _check_supported,
                              bounded_refutation_search, carrier_elements, rep_system)
 from endoclass.fields import (FieldTables, _format_poly, _parse_poly, _poly_mod, _poly_to_code,
                               _poly_trim)
 from endoclass.iso import apply_transform_codes, gl2_lifted, sform_orbit, sform_witness
 
-from common import SMALL_FIELDS, _poly_from_code, poly_mul, random_element, tr
+from common import (FINITE_SPECS, SMALL_FIELDS, _poly_from_code, kernel_mismatch, line_points,
+                    poly_mul, random_element, random_structure_codes, straight_rewrite_reference,
+                    tr)
 
 FIELDS_UP_TO_64 = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16", "F17",
                    "F19", "F23", "F25", "F27", "F29", "F31", "F32", "F37", "F41", "F43",
@@ -344,8 +352,7 @@ def orbit_seeds(field, rng):
 def test_sform_orbit_matches_full_generator_scan(spec):
     field = field_from_spec(spec)
     t = field.tables()
-    # the first point of each line through 0 in the oracle's order
-    lines = [(1, 0), (0, 1)] + [(u, 1) for u in range(1, t.q)]
+    lines = line_points(t.q)
     curled = 0
     for m in orbit_seeds(field, random.Random(spec)):
         generators = list(full_straight_generators(t, m))
@@ -377,6 +384,32 @@ def test_sform_orbit_matches_full_generator_scan_on_large_fields(spec):
                                                        m[2:])
         assert automorphisms > 0
         assert sform_orbit(t, m[2:]) == (set(least), count, automorphisms), m
+
+
+@pytest.mark.parametrize("spec", SMALL_FIELDS)
+def test_straight_rewrite_matches_reference_on_type_ii1(spec):
+    t = field_from_spec(spec).tables()
+    points = line_points(t.q)
+    forms = _ii1_closed_form(t)
+    assert forms
+    for params in forms:
+        assert kernel_mismatch(t, (0, 1) + params, points) is None, params
+
+
+@pytest.mark.parametrize("spec", FINITE_SPECS)
+def test_straight_rewrite_matches_reference_on_random_codes(spec):
+    t = field_from_spec(spec).tables()
+    rng = random.Random(spec)
+    points = line_points(t.q) + [(rng.randrange(t.q), rng.randrange(t.q)) for _ in range(32)]
+    codes = random_structure_codes(t, rng)
+    singular = 0
+    for m in codes:
+        for u, v in points:
+            expected = straight_rewrite_reference(t, m, u, v)
+            assert straight_rewrite(t, m, u, v) == expected, (m, u, v)
+            singular += expected is None
+    # both branches of the kernel are compared on every field
+    assert 0 < singular < len(codes) * len(points)
 
 
 def gl2_orbit_first_hits(t, gl2, src, key_to_index):

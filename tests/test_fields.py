@@ -8,7 +8,8 @@ import pytest
 
 from endoclass import (FieldDescriptor, FieldError, FieldMismatchError,
                        InfiniteFieldError, field_from_spec, field_make, is_square)
-from endoclass.fields import MAX_ORDER, MAX_PRIME, _format_poly, default_modulus
+from endoclass.algebra import SParams, StructureMatrix
+from endoclass.fields import MAX_ORDER, MAX_PRIME, RationalField, _format_poly, default_modulus
 
 from common import FINITE_SPECS, SHORTHANDS, _poly_from_code, el, poly_mul
 
@@ -330,6 +331,31 @@ def test_field_mismatch_raises():
     f7 = field_from_spec("F7")
     with pytest.raises(FieldMismatchError):
         f5.one() + f7.one()
+
+
+@pytest.mark.parametrize("op", [lambda a, b: a + b, lambda a, b: a - b,
+                                lambda a, b: a * b, lambda a, b: a / b])
+def test_arithmetic_across_f5_and_f7_raises_both_ways(op):
+    # equal payloads: only the fields tell the two elements apart
+    a, b = field_from_spec("F5").from_int(2), field_from_spec("F7").from_int(2)
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(FieldMismatchError, match="^elements of F.* cannot be combined$"):
+            op(x, y)
+    assert a != b and not a == b
+
+
+def test_a_second_rationals_handle_equals_the_interned_one():
+    q1, q2 = RationalField(), field_from_spec("Q")
+    assert q1 is not q2 and q1.descriptor == q2.descriptor
+    assert q1 == q2 and q2 == q1 and hash(q1) == hash(q2)
+    half, third = q1.parse("1/2"), q2.parse("1/3")
+    assert half + third == q2.parse("5/6") and third + half == q1.parse("5/6")
+    assert half - third == q2.parse("1/6") and third * half == q1.parse("1/6")
+    assert third / half == q2.parse("2/3") and (half / third).field is q1
+    assert half == q2.parse("1/2") and hash(half) == hash(q2.parse("1/2"))
+    A = StructureMatrix(q1, ((half, third),) * 4)
+    assert A == StructureMatrix(q2, ((q2.parse("1/2"), third),) * 4)
+    assert SParams(q2.zero(), q1.one(), half, third, half, third).to_structure_matrix().field is q2
 
 
 @pytest.mark.parametrize("op", [
