@@ -42,14 +42,18 @@ from .iso import are_isomorphic
 _PIECE = 1 << 16  # characters per write: a pipe holds 64 KiB
 
 
-def _emit_json(obj: dict) -> None:
+def _emit_json(obj: dict | str) -> None:
     """Write obj and a "version" key as `json.dumps(obj, sort_keys=True,
     indent=2)` does, then a newline, through `_write`.
 
-    A top-level value may be a generator that yields its own text,
-    already indented as a top-level value (see `_classes_json`); then
-    each top-level value is written on its own, the others encoded and
-    indented one level."""
+    A finished document, a str with its version key and newline (see
+    `cmd_iso`), is written as it is.  A top-level value may be a
+    generator that yields its own text, already indented as a top-level
+    value (see `_classes_json`); then each top-level value is written on
+    its own, the others encoded and indented one level."""
+    if isinstance(obj, str):
+        _write((obj,))
+        return
     obj = {**obj, "version": __version__}
     if not any(isinstance(value, GeneratorType) for value in obj.values()):
         _write([json.dumps(obj, sort_keys=True, indent=2), "\n"])
@@ -101,32 +105,43 @@ def _write(pieces) -> None:
     write("".join(held))
 
 
+def _record_json(keys: str, indent: str) -> str:
+    """%-format of the `to_json()` of a record of field elements as a
+    value at `indent`, keys one letter each, sorted: it takes the element
+    strings in the order of `keys`, as JSON strings without escapes
+    (element strings have none; tests/test_cli.py checks every field)."""
+    lines = ",\n".join(f'{indent}  "{k}": "%s"' for k in keys)
+    return f"{{\n{lines}\n{indent}}}"
+
+
+# keys sorted as json.dumps writes them: a, b, c, d, p, q and w, x, y, z
+_ISO_JSON = ('{\n  "field": "%s",\n  "isomorphic": %s,\n  "lhs": ' + _record_json("abcdpq", "  ")
+             + ',\n  "rhs": ' + _record_json("abcdpq", "  ")
+             + f',\n  "version": {json.dumps(__version__)},\n  "witness": %s\n}}\n')
+_WITNESS_JSON = _record_json("wxyz", "  ")
+
+
 def _classes_json(field: Field, classes) -> Iterator[str]:
     """The text of `[c.to_json(i) for i, c in enumerate(classes)]` as a
     top-level value of `_emit_json`, formatted from the codes of the
-    classes and the JSON strings of the field's elements, a few hundred
-    members at a time."""
+    classes and the field's element strings, a few hundred members at a
+    time."""
     if not classes:
         yield "[]"
         return
-    quoted = [json.dumps(s) for s in field.element_strings()]
-
-    def sform(indent):
-        # %-format of SParams.to_json() at `indent`, sorted keys a, b, c, d, p, q
-        keys = ",\n".join(f'{indent}  "{k}": %s' for k in "abcdpq")
-        return f"{{\n{keys}\n{indent}}}"
-
-    member, representative = " " * 8 + sform(" " * 8), sform(" " * 6)
+    s = field.element_strings()
+    member = " " * 8 + _record_json("abcdpq", " " * 8)
+    representative = _record_json("abcdpq", " " * 6)
     sep = "[\n"
     for i, cls in enumerate(classes):
         codes = cls.member_codes
         yield f'{sep}    {{\n      "index": {i},\n      "members": [\n'
         for start in range(0, len(codes), 256):
             yield (",\n" if start else "") + ",\n".join(
-                member % (quoted[a], quoted[b], quoted[c], quoted[d], quoted[p], quoted[q])
+                member % (s[a], s[b], s[c], s[d], s[p], s[q])
                 for p, q, a, b, c, d in codes[start:start + 256])
         p, q, a, b, c, d = codes[0]
-        rep = representative % (quoted[a], quoted[b], quoted[c], quoted[d], quoted[p], quoted[q])
+        rep = representative % (s[a], s[b], s[c], s[d], s[p], s[q])
         yield f'\n      ],\n      "representative": {rep},\n      "size": {len(codes)}\n    }}'
         sep = ",\n"
     yield "\n  ]"
@@ -194,9 +209,17 @@ def cmd_iso(args) -> int:
     rhs = _parse_sparams(field, args.rhs)
     witness = are_isomorphic(lhs.to_structure_matrix(), rhs.to_structure_matrix())
     if args.format == "json":
-        _emit_json({"field": field.spec_string(), "lhs": lhs.to_json(),
-                    "rhs": rhs.to_json(), "isomorphic": witness is not None,
-                    "witness": witness.to_json() if witness else None})
+        # the bytes json.dumps gives of the to_json() documents, from the codes
+        s = field.element_strings()
+        p, q, a, b, c, d = lhs.codes()
+        P, Q, A, B, C, D = rhs.codes()
+        found = "null"
+        if witness:
+            x, y, z, w = witness.codes()
+            found = _WITNESS_JSON % (s[w], s[x], s[y], s[z])
+        _emit_json(_ISO_JSON % (field.spec_string(), "true" if witness else "false",
+                                s[a], s[b], s[c], s[d], s[p], s[q],
+                                s[A], s[B], s[C], s[D], s[P], s[Q], found))
     else:
         print(str(witness) if witness else "not isomorphic")
     return 0 if witness else 1

@@ -9,13 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from endoclass import __version__, field_from_spec, iso_classes, verify_classification
+from endoclass import (SParams, Transform, __version__, are_isomorphic, field_from_spec,
+                       iso_classes, to_straight_form, transform, verify_classification)
 from endoclass.classify import enumerate_type_ii1
 from endoclass.cli import _PIECE, _emit_json, _parse, _UsageError, build_parser, main
 from endoclass.equiv import MAX_DEGREE_BOUND
 from endoclass.fields import MAX_DIGITS, MAX_EXPONENT
 
-from common import forbid_scan
+from common import FINITE_SPECS, OTHER_MODULI, forbid_scan
 
 
 def run_cli(capsys, *argv):
@@ -709,6 +710,29 @@ def dumped(obj):
     return json.dumps({**obj, "version": __version__}, sort_keys=True, indent=2) + "\n"
 
 
+def iso_pair(field):
+    """An S-form and an isomorphic one, reached through a basis change
+    that is not diagonal, as comma-separated values.  Over F243, F256
+    and F3^2/x^2+2x+2 the entries of each S-form and of the witness are
+    distinct, so a document with two values swapped shows."""
+    q = field.order()
+    S = SParams.from_codes(field, [code % q for code in (6, 5, 4, 3, 2, 1)])
+    X = Transform.from_codes(field, (1, 2, 3, 0) if q > 3 else (1, 1, 0, 1))
+    image, _ = to_straight_form(transform(S.to_structure_matrix(), X))
+    return ",".join(map(str, S)), ",".join(map(str, image))
+
+
+def iso_doc(field, argv):
+    """The document of `iso` argv (comma-separated --lhs and --rhs) as
+    the library gives it."""
+    lhs, rhs = (SParams(*map(field.parse, argv[argv.index(flag) + 1].split(",")))
+                for flag in ("--lhs", "--rhs"))
+    witness = are_isomorphic(lhs.to_structure_matrix(), rhs.to_structure_matrix())
+    return {"field": field.spec_string(), "lhs": lhs.to_json(), "rhs": rhs.to_json(),
+            "isomorphic": witness is not None,
+            "witness": witness.to_json() if witness else None}
+
+
 def json_commands(spec):
     """One argv of each JSON command the field takes."""
     field = ["--field", spec]
@@ -721,9 +745,11 @@ def json_commands(spec):
                   ["equiv", *field, "--relation", "sim2", "--test", "X", "1",
                    "--degree-bound", "3"]]
     else:
+        lhs, image = iso_pair(field_from_spec(spec))
         argvs += [["enumerate", *field, "--format", "json"],
                   ["enumerate", *field, "--format", "json", "--subclass", "3"],
                   ["iso", *field, "--lhs", "0,1,1,0,1,1", "--rhs", "0,1,1,0,1,0"],
+                  ["iso", *field, "--lhs", lhs, "--rhs", image],
                   ["equiv", *field, "--relation", "sim1", "--test", "1", "1"],
                   ["equiv", *field, "--relation", "sim1", "--reps"],
                   ["classes", *field], ["verify", *field]]
@@ -745,8 +771,11 @@ def test_every_json_command_prints_what_json_dumps_prints(capsys, monkeypatch, s
         main(argv)
         out = capsys.readouterr().out
         assert len(docs) == 1, argv
-        # verify and classes pass the classes as text; the library gives the objects
-        if argv[0] == "verify":
+        # iso passes its whole document, and verify and classes the classes,
+        # as text; the library gives the objects
+        if argv[0] == "iso":
+            expected = iso_doc(field, argv)
+        elif argv[0] == "verify":
             expected = verify_classification(field).to_json_dict()
         elif argv[0] == "classes":
             partition = iso_classes(enumerate_type_ii1(field))
@@ -755,6 +784,24 @@ def test_every_json_command_prints_what_json_dumps_prints(capsys, monkeypatch, s
         else:
             expected = docs[0]
         assert out == dumped(expected), argv
+
+
+@pytest.mark.parametrize("spec", ["F243", "F256", "F3^2/x^2+2x+2"])
+def test_iso_json_is_what_json_dumps_prints_of_the_library_answer(capsys, spec):
+    field = field_from_spec(spec)
+    lhs, image = iso_pair(field)
+    for rhs, code in ((image, 0), ("0,1,1,0,1,0", 1)):
+        argv = ["iso", "--field", spec, "--lhs", lhs, "--rhs", rhs]
+        assert main(argv) == code
+        assert capsys.readouterr().out == dumped(iso_doc(field, argv)), argv
+
+
+@pytest.mark.parametrize("spec", FINITE_SPECS + OTHER_MODULI)
+def test_element_strings_and_field_spec_need_no_json_escapes(spec):
+    # the iso and classes templates quote them as they are
+    field = field_from_spec(spec)
+    for text in field.element_strings() + [field.spec_string()]:
+        assert json.dumps(text) == f'"{text}"'
 
 
 def test_verify_json_is_the_report_dict(capsys, monkeypatch):
