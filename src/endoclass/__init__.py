@@ -20,11 +20,9 @@ _EXPORTS = {
         "FieldMismatchError", "InfiniteFieldError",
         "field_make", "field_from_spec", "is_square"),
     "algebra": (
-        "AlgebraElement", "AlgebraType", "NotEndoCommutative", "SParams",
-        "StructureMatrix", "basis", "element", "ii1_subclass", "is_curled",
-        "is_endo_commutative_definitional", "is_endo_commutative_straight",
-        "multiplication_table_text", "multiply", "rank",
-        "to_straight_form", "type_of"),
+        "AlgebraType", "SParams", "StructureMatrix",
+        "is_endo_commutative_straight", "multiplication_table_text", "rank",
+        "to_straight_form"),
     "iso": (
         "LiftedTransform", "SingularTransformError", "Transform",
         "are_isomorphic", "check_iso_system", "lift", "transform"),
@@ -33,8 +31,7 @@ _EXPORTS = {
         "bounded_refutation_search", "carrier_elements", "related", "rep_system"),
     "classify": (
         "ClassificationReport", "FamilyLabel", "IsoClass", "OversizedFieldError",
-        "SubclassInventory", "enumerate_subclasses", "enumerate_type",
-        "enumerate_type_ii1", "iso_classes", "theorem_families",
+        "enumerate_type", "enumerate_type_ii1", "iso_classes", "theorem_families",
         "verify_classification"),
 }
 

@@ -9,9 +9,11 @@ presentation
 
 An algebra is endo-commutative when squaring preserves products,
 x^2 y^2 = (x y)^2 for all x and y; it is curled when x^2 is always a
-scalar multiple of x, and straight otherwise.  The exhaustive checks
-below run on integer element codes through the field's lookup tables,
-so full scans over q^4 element pairs stay cheap.
+scalar multiple of x, and straight otherwise.  Endo-commutativity of
+an S-form is a closed-form condition on (p, q, a, b, c, d), and an
+algebra is curled when none of at most q + 1 rewrites on a basis
+{x, x^2} succeeds; scans and rewrites run on integer element codes
+through the field's lookup tables.
 """
 
 from __future__ import annotations
@@ -22,30 +24,6 @@ from typing import NamedTuple
 from .fields import Field, FieldElement, FieldMismatchError, FieldTables, _ElementRecord
 
 ROW_LABELS = ("e*e", "f*f", "e*f", "f*e")
-
-
-class NotEndoCommutative(ValueError):
-    """Raised when an operation defined only on endo-commutative algebras
-    receives one that fails the defining identity."""
-
-
-class AlgebraElement(NamedTuple):
-    """u*e + v*f."""
-
-    u: FieldElement
-    v: FieldElement
-
-
-def element(field: Field, u, v) -> AlgebraElement:
-    u = u if isinstance(u, FieldElement) else field.from_int(u)
-    v = v if isinstance(v, FieldElement) else field.from_int(v)
-    return AlgebraElement(u, v)
-
-
-def basis(field: Field) -> tuple[AlgebraElement, AlgebraElement]:
-    """The distinguished basis (e, f)."""
-    zero, one = field.zero(), field.one()
-    return AlgebraElement(one, zero), AlgebraElement(zero, one)
 
 
 class StructureMatrix:
@@ -138,21 +116,6 @@ class SParams(_SParamsFields, _ElementRecord):
 
 
 # ---------------------------------------------------------------------------
-# multiplication
-# ---------------------------------------------------------------------------
-
-def multiply(A: StructureMatrix, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Bilinear product of x and y in the algebra defined by A."""
-    for el in (x.u, x.v, y.u, y.v):
-        if el.field != A.field:
-            raise FieldMismatchError("algebra elements must lie in the matrix's field")
-    (r1e, r1f), (r2e, r2f), (r3e, r3f), (r4e, r4f) = A.rows
-    uu, vv, uv, vu = x.u * y.u, x.v * y.v, x.u * y.v, x.v * y.u
-    return AlgebraElement(uu * r1e + vv * r2e + uv * r3e + vu * r4e,
-                          uu * r1f + vv * r2f + uv * r3f + vu * r4f)
-
-
-# ---------------------------------------------------------------------------
 # endo-commutativity
 # ---------------------------------------------------------------------------
 
@@ -164,19 +127,6 @@ def _product(t: FieldTables, m: tuple[int, ...], x, y) -> tuple[int, int]:
     uu, vv, uv, vu = mul[u1][u2], mul[v1][v2], mul[u1][v2], mul[v1][u2]
     return (add[add[mul[uu][r1e]][mul[vv][r2e]]][add[mul[uv][r3e]][mul[vu][r4e]]],
             add[add[mul[uu][r1f]][mul[vv][r2f]]][add[mul[uv][r3f]][mul[vu][r4f]]])
-
-
-def _ec_definitional_codes(t: FieldTables, m: tuple[int, ...]) -> bool:
-    """x^2 y^2 = (x y)^2 for every pair of points x, y."""
-    points = [(u, v) for u in range(t.q) for v in range(t.q)]
-    squares = {x: _product(t, m, x, x) for x in points}
-    return all(squares[_product(t, m, x, y)] == _product(t, m, squares[x], squares[y])
-               for x in points for y in points)
-
-
-def is_endo_commutative_definitional(A: StructureMatrix) -> bool:
-    """Exhaustive check of x^2 y^2 = (x y)^2 over all q^4 element pairs."""
-    return _ec_definitional_codes(A.field.tables(), A.codes())
 
 
 def is_endo_commutative_straight(S: SParams) -> bool:
@@ -291,15 +241,9 @@ def straight_bases(t: FieldTables, m: tuple[int, ...]):
             yield rewritten
 
 
-def is_curled(A: StructureMatrix) -> bool:
-    """True iff x^2 lies in the span of x for every element x, that is,
-    iff no x gives a straight basis {x, x^2}: at most q + 1 rewrites."""
-    return next(straight_bases(A.field.tables(), A.codes()), None) is None
-
-
 def to_straight_form(A: StructureMatrix):
     """Straight normal form of A: (SParams, basis-change Transform), or
-    None when A is curled.
+    None when A is curled: then all of its at most q + 1 rewrites fail.
 
     Takes the first of `straight_bases`: the first straight x among
     e, f, e+f, 2e+f, ....  The returned transform X satisfies
@@ -365,33 +309,15 @@ _TYPE_BY_PATTERN = {
 }
 
 
-def type_of(S: SParams) -> AlgebraType:
-    """Type bucket of an endo-commutative straight-form algebra.
-
-    Raises NotEndoCommutative on non-EC input: the taxonomy is only
-    defined inside the endo-commutative family.
-    """
-    if not is_endo_commutative_straight(S):
-        raise NotEndoCommutative(f"{S} is not endo-commutative")
-    return pattern_type(S)
-
-
 def pattern_type(S: SParams) -> AlgebraType:
     """The type of S read from the zero pattern of (p, a, c), for an
     S-form already known to be endo-commutative."""
     return _TYPE_BY_PATTERN[(bool(S.p), bool(S.a), bool(S.c))]
 
 
-def ii1_subclass(S: SParams) -> int:
-    """Four-way split of type II1 on (b, q, d): 1 if b=0; 2 if b!=0, q=0;
-    3 if b,q!=0, d=0; 4 otherwise."""
-    if type_of(S) is not AlgebraType.II_1:
-        raise ValueError(f"{S} is not of type II1")
-    return _ii1_stratum(S)
-
-
 def _ii1_stratum(S: SParams) -> int:
-    """The (b, q, d) rule of `ii1_subclass`, for S already known to be an
+    """Four-way split of type II1 on (b, q, d): 1 if b=0; 2 if b!=0, q=0;
+    3 if b,q!=0, d=0; 4 otherwise.  S must already be known to be an
     endo-commutative type-II1 S-form."""
     if not S.b:
         return 1

@@ -33,10 +33,9 @@ that one number (type II1: q <= 49; III: q <= 25; I: q <= 128).  The
 closed form scans nothing, so `enumerate_type_ii1`, and with it
 `verify` and `classes`, admits every supported finite field.
 
-The subclass inventory cross-validates the closed form of the four
-(b, q, d)-strata against the direct scan: `_ii1_closed_form` writes the
-whole type-II1 set on codes in O(q^2) steps over every finite field,
-and the scan visits q^3 (q-1)^2 tuples under the guard.
+`_by_stratum` splits type-II1 S-forms by their (b, q, d) stratum, for
+`enumerate --subclass`; the tests compare the strata of the closed form,
+written in O(q^2) steps, with those of the scan over q^3 (q-1)^2 tuples.
 """
 
 from __future__ import annotations
@@ -151,16 +150,6 @@ def enumerate_type_ii1(field: Field) -> Sequence[SParams]:
     return _CodedSForms(field, _ii1_closed_form(field.tables()))  # raises InfiniteFieldError
 
 
-class SubclassInventory(NamedTuple):
-    """The four (b, q, d)-strata of the type-II1 family, produced twice:
-    from the closed-form parametrizations and from the direct scan."""
-
-    field: Field
-    closed_form: dict[int, list[SParams]]
-    direct_scan: dict[int, list[SParams]]
-    scan_all: list[SParams]
-
-
 def _ii1_rows(t: FieldTables):
     """The rows of the type-II1 closed form, each a map of the codes of
     its free parameters (`_ii1_closed_form` derives them):
@@ -249,13 +238,6 @@ def _by_stratum(algebras) -> dict[int, list[SParams]]:
     for sp in algebras:
         strata[_ii1_stratum(sp)].append(sp)
     return strata
-
-
-def enumerate_subclasses(field: Field) -> SubclassInventory:
-    """Both productions of the four subclasses (closed form and scan)."""
-    scan = [SParams.from_codes(field, codes) for codes in _scan(field, (AlgebraType.II_1,))]
-    closed = enumerate_type_ii1(field)
-    return SubclassInventory(field, _by_stratum(closed), _by_stratum(scan), scan)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .classify import (_TYPE_ALIASES, enumerate_type, enumerate_type_ii1, iso_cl
                        verify_classification)
 from .equiv import (MAX_DEGREE_BOUND, RelationId, UnsupportedRelation,
                     bounded_refutation_search, related, rep_system)
-from .fields import Field, FieldError, RationalFunctionField2, _echo, field_from_spec
+from .fields import Field, FieldError, RationalFunctionField2, _decimal, _echo, field_from_spec
 from .iso import are_isomorphic
 
 
@@ -150,7 +150,10 @@ def _classes_json(field: Field, classes) -> Iterator[str]:
 def _parse_sparams(field: Field, text: str) -> SParams:
     text = text.strip()
     if text.startswith(("{", "[")):
-        obj = json.loads(text)
+        try:
+            obj = json.loads(text, parse_int=functools.partial(_decimal, what="JSON number"))
+        except RecursionError:
+            raise FieldError(f"JSON nested too deeply: {_echo(text)}") from None
         if not (isinstance(obj, dict) and all(isinstance(obj.get(k), str) for k in "pqabcd")):
             raise FieldError("a JSON S-tuple must be an object with string values "
                              f"for p, q, a, b, c and d, got {_echo(text)}")

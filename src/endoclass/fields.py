@@ -114,9 +114,10 @@ def _echo(s: str, limit: int = 40) -> str:
 
 
 def _decimal(digits: str, what: str) -> int:
-    """int(digits), for a decimal string of at most MAX_DIGITS digits."""
-    if len(digits) > MAX_DIGITS:
-        raise FieldError(f"{what} with {len(digits)} digits is too long to read "
+    """int(digits), for a decimal string, signed or not, of at most
+    MAX_DIGITS digits."""
+    if len(digits.lstrip("-")) > MAX_DIGITS:
+        raise FieldError(f"{what} with {len(digits.lstrip('-'))} digits is too long to read "
                          f"(at most {MAX_DIGITS})")
     return int(digits)
 

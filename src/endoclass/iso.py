@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .algebra import SParams, StructureMatrix, _gauss_jordan, _product, straight_bases
+from .algebra import SParams, StructureMatrix, _product, straight_bases
 from .fields import Field, FieldElement, FieldMismatchError, FieldTables, _ElementRecord
 
 
@@ -98,7 +98,7 @@ class Transform(_Entries, _ElementRecord):
 
 
 class LiftedTransform:
-    """4x4 lift of a Transform; invertible by construction."""
+    """4x4 lift of a Transform, compared by its entries."""
 
     __slots__ = ("field", "entries")
 
@@ -115,30 +115,6 @@ class LiftedTransform:
 
     def __repr__(self):
         return f"LiftedTransform({self.entries})"
-
-    @classmethod
-    def identity(cls, field: Field) -> "LiftedTransform":
-        one, zero = field.one(), field.zero()
-        return cls(field, tuple(tuple(one if i == j else zero for j in range(4))
-                                for i in range(4)))
-
-    def __matmul__(self, other: "LiftedTransform") -> "LiftedTransform":
-        if other.field != self.field:
-            raise FieldMismatchError("cannot compose lifts over different fields")
-        a, b = self.entries, other.entries
-        return LiftedTransform(self.field, tuple(
-            tuple(sum((a[i][k] * b[k][j] for k in range(1, 4)), a[i][0] * b[0][j])
-                  for j in range(4))
-            for i in range(4)))
-
-    def inverse(self) -> "LiftedTransform":
-        """Inverse by Gauss-Jordan elimination over the field."""
-        one, zero = self.field.one(), self.field.zero()
-        aug = [list(row) + [one if j == i else zero for j in range(4)]
-               for i, row in enumerate(self.entries)]
-        if _gauss_jordan(aug, 4) < 4:
-            raise SingularTransformError("lifted matrix is singular")
-        return LiftedTransform(self.field, tuple(tuple(row[4:]) for row in aug))
 
 
 def lift(X: Transform) -> LiftedTransform:

@@ -1,12 +1,19 @@
 """Shared test helpers: element shortcuts, a scan that must not start,
-the straight-rewrite kernel written through `_product` as a reference,
-and the catalog of closed-form isomorphism witnesses between
-parametrized S-form families."""
+reference implementations that the library's kernels are checked
+against (the definitional product and endo-commutativity check, the
+4x4 lift algebra, the straight-rewrite kernel written through
+`_product`, the type-II1 strata of the scan), and the catalog of
+closed-form isomorphism witnesses between parametrized S-form
+families."""
 
-from endoclass import (RelationId, SParams, Transform, field_from_spec,
-                       is_square, related)
-from endoclass.algebra import _product, straight_rewrite
-from endoclass.fields import MAX_ORDER, MAX_PRIME, _is_prime
+from typing import NamedTuple
+
+from endoclass import (AlgebraType, FieldMismatchError, LiftedTransform, RelationId,
+                       SingularTransformError, SParams, Transform, field_from_spec,
+                       is_endo_commutative_straight, is_square, related)
+from endoclass.algebra import _gauss_jordan, _product, pattern_type, straight_rewrite
+from endoclass.classify import _by_stratum, _scan
+from endoclass.fields import MAX_ORDER, MAX_PRIME, FieldElement, _is_prime
 
 SMALL_FIELDS = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16", "F17"]
 PRIMES = [p for p in range(2, MAX_PRIME + 1) if _is_prime(p)]
@@ -59,6 +66,101 @@ def random_transform(field, rng):
         x, y, z, w = (field.element_of_code(rng.randrange(q)) for _ in range(4))
         if x * w != y * z:
             return Transform(x, y, z, w)
+
+
+# ---------------------------------------------------------------------------
+# the definitional product and endo-commutativity
+# ---------------------------------------------------------------------------
+
+class AlgebraElement(NamedTuple):
+    """u*e + v*f."""
+
+    u: FieldElement
+    v: FieldElement
+
+
+def element(field, u, v):
+    u = u if isinstance(u, FieldElement) else field.from_int(u)
+    v = v if isinstance(v, FieldElement) else field.from_int(v)
+    return AlgebraElement(u, v)
+
+
+def basis(field):
+    """The distinguished basis (e, f)."""
+    zero, one = field.zero(), field.one()
+    return AlgebraElement(one, zero), AlgebraElement(zero, one)
+
+
+def multiply(A, x, y):
+    """Bilinear product of x and y in the algebra defined by the
+    structure matrix A, over FieldElements."""
+    for entry in (x.u, x.v, y.u, y.v):
+        if entry.field != A.field:
+            raise FieldMismatchError("algebra elements must lie in the matrix's field")
+    (r1e, r1f), (r2e, r2f), (r3e, r3f), (r4e, r4f) = A.rows
+    uu, vv, uv, vu = x.u * y.u, x.v * y.v, x.u * y.v, x.v * y.u
+    return AlgebraElement(uu * r1e + vv * r2e + uv * r3e + vu * r4e,
+                          uu * r1f + vv * r2f + uv * r3f + vu * r4f)
+
+
+def _ec_definitional_codes(t, m):
+    """x^2 y^2 = (x y)^2 for every pair of points x, y."""
+    points = [(u, v) for u in range(t.q) for v in range(t.q)]
+    squares = {x: _product(t, m, x, x) for x in points}
+    return all(squares[_product(t, m, x, y)] == _product(t, m, squares[x], squares[y])
+               for x in points for y in points)
+
+
+def is_endo_commutative_definitional(A):
+    """Exhaustive check of x^2 y^2 = (x y)^2 over all q^4 element pairs
+    of the structure matrix A, on codes (finite fields only)."""
+    return _ec_definitional_codes(A.field.tables(), A.codes())
+
+
+def is_type(S, tp):
+    """S is an endo-commutative S-form of type bucket tp."""
+    return is_endo_commutative_straight(S) and pattern_type(S) is tp
+
+
+# ---------------------------------------------------------------------------
+# the 4x4 lift algebra
+# ---------------------------------------------------------------------------
+
+def lifted_identity(field):
+    one, zero = field.one(), field.zero()
+    return LiftedTransform(field, tuple(tuple(one if i == j else zero for j in range(4))
+                                        for i in range(4)))
+
+
+def lifted_product(L, M):
+    """The matrix product L M of two lifts over one field."""
+    if M.field != L.field:
+        raise FieldMismatchError("cannot compose lifts over different fields")
+    a, b = L.entries, M.entries
+    return LiftedTransform(L.field, tuple(
+        tuple(sum((a[i][k] * b[k][j] for k in range(1, 4)), a[i][0] * b[0][j])
+              for j in range(4))
+        for i in range(4)))
+
+
+def lifted_inverse(L):
+    """The inverse of a 4x4 lift by Gauss-Jordan elimination over the field."""
+    one, zero = L.field.one(), L.field.zero()
+    aug = [list(row) + [one if j == i else zero for j in range(4)]
+           for i, row in enumerate(L.entries)]
+    if _gauss_jordan(aug, 4) < 4:
+        raise SingularTransformError("lifted matrix is singular")
+    return LiftedTransform(L.field, tuple(tuple(row[4:]) for row in aug))
+
+
+# ---------------------------------------------------------------------------
+# the type-II1 strata
+# ---------------------------------------------------------------------------
+
+def scan_strata(field):
+    """The type-II1 S-forms of the direct scan, split by `_by_stratum`."""
+    return _by_stratum([SParams.from_codes(field, codes)
+                        for codes in _scan(field, (AlgebraType.II_1,))])
 
 
 def _poly_from_code(code, p, length):

@@ -9,13 +9,14 @@ import random
 import time
 
 from endoclass import (RelationId, bounded_refutation_search, carrier_elements,
-                       check_iso_system, enumerate_subclasses, field_from_spec,
-                       is_endo_commutative_definitional,
+                       check_iso_system, enumerate_type_ii1, field_from_spec,
                        is_endo_commutative_straight, lift, related,
                        rep_system, verify_classification)
+from endoclass.classify import _by_stratum
 from endoclass.iso import Transform
 
-from common import CHAR_NOT2_CATALOG, sp
+from common import (CHAR_NOT2_CATALOG, is_endo_commutative_definitional, lifted_product,
+                    scan_strata, sp)
 
 
 def _report(name, ok, detail):
@@ -61,7 +62,7 @@ def test_criterion_2_lift_homomorphism():
     lifts = {X.codes(): lift(X) for X in gl2}
     for X in gl2:
         for Y in gl2:
-            if lift(X @ Y) != lifts[X.codes()] @ lifts[Y.codes()]:
+            if lift(X @ Y) != lifted_product(lifts[X.codes()], lifts[Y.codes()]):
                 failures += 1
     f5 = field_from_spec("F5")
     rng = random.Random(20250810)
@@ -72,7 +73,7 @@ def test_criterion_2_lift_homomorphism():
         if x1 * w1 == y1 * z1 or x2 * w2 == y2 * z2:
             continue
         X, Y = Transform(x1, y1, z1, w1), Transform(x2, y2, z2, w2)
-        if lift(X @ Y) != lift(X) @ lift(Y):
+        if lift(X @ Y) != lifted_product(lift(X), lift(Y)):
             failures += 1
         pairs += 1
     elapsed = time.perf_counter() - start
@@ -86,13 +87,14 @@ def test_criterion_3_subclass_lemmas():
     start = time.perf_counter()
     bad = []
     for spec in ("F2", "F3", "F4", "F5"):
-        inv = enumerate_subclasses(field_from_spec(spec))
+        field = field_from_spec(spec)
+        closed_form, direct_scan = _by_stratum(enumerate_type_ii1(field)), scan_strata(field)
         for k in (1, 2, 3, 4):
-            closed = sorted(s.codes() for s in inv.closed_form[k])
-            scanned = sorted(s.codes() for s in inv.direct_scan[k])
+            closed = sorted(s.codes() for s in closed_form[k])
+            scanned = sorted(s.codes() for s in direct_scan[k])
             if closed != scanned:
                 bad.append(f"{spec} subclass {k}")
-        if inv.direct_scan[2] or inv.closed_form[2]:
+        if direct_scan[2] or closed_form[2]:
             bad.append(f"{spec} subclass 2 nonempty")
     elapsed = time.perf_counter() - start
     _report("criterion 3 (subclass parametrizations equal direct scans)",

@@ -1,19 +1,17 @@
 import random
-import re
 
 import pytest
 
 from endoclass import (AlgebraType, FieldMismatchError, InfiniteFieldError,
-                       NotEndoCommutative, SParams, StructureMatrix, Transform,
-                       basis, element, field_from_spec, ii1_subclass, is_curled,
-                       is_endo_commutative_definitional,
+                       SParams, StructureMatrix, Transform, field_from_spec,
                        is_endo_commutative_straight, multiplication_table_text,
-                       multiply, rank, to_straight_form, transform, type_of)
+                       rank, to_straight_form, transform)
 
-from endoclass.algebra import pattern_type
+from endoclass.algebra import _ii1_stratum, pattern_type
 from endoclass.classify import enumerate_type_ii1
 
-from common import el, random_transform, sp
+from common import (basis, el, element, is_endo_commutative_definitional, is_type,
+                    multiply, random_transform, sp)
 
 F2 = field_from_spec("F2")
 F3 = field_from_spec("F3")
@@ -189,24 +187,25 @@ def test_coded_definitional_matches_naive_route():
 
 
 # ---------------------------------------------------------------------------
-# curled / straight
+# curled / straight: curled exactly when to_straight_form finds no
+# straight basis {x, x^2}
 # ---------------------------------------------------------------------------
 
 def test_sform_is_never_curled():
-    assert not is_curled(sp(F3, 0, 1, 1, 0, -1, 2).to_structure_matrix())
-    assert not is_curled(sp(F3, 1, 2, 0, 1, 2, 0).to_structure_matrix())
+    assert to_straight_form(sp(F3, 0, 1, 1, 0, -1, 2).to_structure_matrix()) is not None
+    assert to_straight_form(sp(F3, 1, 2, 0, 1, 2, 0).to_structure_matrix()) is not None
 
 
 def test_zero_algebra_is_curled():
-    assert is_curled(StructureMatrix.zero(F3))
+    assert to_straight_form(StructureMatrix.zero(F3)) is None
 
 
 def test_split_idempotents_curledness_depends_on_field():
     # e^2=e, f^2=f, ef=fe=0: every x in F2^2 has x^2 = x, but over F3 the
     # element e+2f squares to e+f, independent of it
     rows = ((1, 0), (0, 1), (0, 0), (0, 0))
-    assert is_curled(StructureMatrix.from_ints(F2, rows))
-    assert not is_curled(StructureMatrix.from_ints(F3, rows))
+    assert to_straight_form(StructureMatrix.from_ints(F2, rows)) is None
+    assert to_straight_form(StructureMatrix.from_ints(F3, rows)) is not None
 
 
 def _curled_by_definition(A):
@@ -239,7 +238,7 @@ def test_is_curled_matches_the_definition(spec):
     matrices += [curled() for _ in range(20)]
     matrices += [StructureMatrix(field, [[rand(), rand()] for _ in range(4)])
                  for _ in range(40)]
-    verdicts = [is_curled(A) for A in matrices]
+    verdicts = [to_straight_form(A) is None for A in matrices]
     assert verdicts == [_curled_by_definition(A) for A in matrices]
     assert verdicts[0] and all(verdicts[1:21])
     assert not all(verdicts[21:])
@@ -254,7 +253,7 @@ def test_is_curled_rewrites_once_per_line(monkeypatch):
         calls.append(args[2:])
         return rewrite(*args)
     monkeypatch.setattr(algebra, "straight_rewrite", counting_rewrite)
-    assert is_curled(StructureMatrix.zero(field_from_spec("F256")))
+    assert to_straight_form(StructureMatrix.zero(field_from_spec("F256"))) is None
     assert 0 < len(calls) <= 256 + 1
 
 
@@ -279,7 +278,6 @@ def test_to_straight_form_random_round_trip():
             F5, [[rng.randrange(5) for _ in range(2)] for _ in range(4)])
         res = to_straight_form(A)
         if res is None:
-            assert is_curled(A)
             continue
         params, X = res
         found += 1
@@ -332,12 +330,12 @@ def test_rank_over_infinite_fields(spec, t):
 # ---------------------------------------------------------------------------
 
 def test_type_of_examples():
-    assert type_of(sp(F5, 0, 1, 1, 0, -1, 2)) is AlgebraType.II_1
-    assert type_of(sp(F3, 0, 0, 0, 0, 0, 0)) is AlgebraType.NOT_RANK_2
-    assert type_of(sp(F3, 1, 0, 0, 0, 0, 0)) is AlgebraType.I_100
-    assert type_of(sp(F3, 1, 0, 0, 1, 1, 0)) is AlgebraType.II_2
-    assert type_of(sp(F3, 1, 0, 1, 0, 0, 1)) is AlgebraType.II_3
-    assert type_of(sp(F3, 1, 2, 1, 0, 1, 0)) is AlgebraType.III
+    assert is_type(sp(F5, 0, 1, 1, 0, -1, 2), AlgebraType.II_1)
+    assert is_type(sp(F3, 0, 0, 0, 0, 0, 0), AlgebraType.NOT_RANK_2)
+    assert is_type(sp(F3, 1, 0, 0, 0, 0, 0), AlgebraType.I_100)
+    assert is_type(sp(F3, 1, 0, 0, 1, 1, 0), AlgebraType.II_2)
+    assert is_type(sp(F3, 1, 0, 1, 0, 0, 1), AlgebraType.II_3)
+    assert is_type(sp(F3, 1, 2, 1, 0, 1, 0), AlgebraType.III)
 
 
 def test_pattern_type_reads_the_zero_pattern_only():
@@ -347,11 +345,6 @@ def test_pattern_type_reads_the_zero_pattern_only():
     non_ec = sp(F3, 0, 0, 1, 1, 0, 0)
     assert not is_endo_commutative_straight(non_ec)
     assert pattern_type(non_ec) is AlgebraType.I_010
-
-
-def test_type_of_rejects_non_ec():
-    with pytest.raises(NotEndoCommutative):
-        type_of(sp(F3, 0, 0, 1, 1, 1, 0))
 
 
 def test_type_partition_over_f3():
@@ -379,7 +372,7 @@ def test_type_partition_over_f3():
         S = sp(F3, *vals)
         if not is_endo_commutative_straight(S):
             continue
-        t = type_of(S)
+        t = pattern_type(S)
         seen[t] += 1
         assert pattern_of[t] == (bool(S.p), bool(S.a), bool(S.c))
     assert {t.value: n for t, n in seen.items()} == {
@@ -392,39 +385,13 @@ def test_type_partition_over_f3():
 # ---------------------------------------------------------------------------
 
 def test_ii1_subclass_examples():
-    assert ii1_subclass(sp(F5, 0, 1, 1, 0, -1, 2)) == 1
-    assert ii1_subclass(sp(F5, 0, -1, 1, 1, -1, 0)) == 3
     # d != 0 member of subclass 4 over F5: b=1, d=2 -> a=(4-1)/4
     quarter = F5.from_int(4).inverse()
     b, d = F5.from_int(1), F5.from_int(2)
     a = (d * d - b * b) * quarter
-    S = SParams(F5.zero(), (b + d) * (b + d) * quarter, a, b, -a, d)
-    assert ii1_subclass(S) == 4
-
-
-def test_ii1_subclass_rejects_non_ec():
-    # q^2+a^2+q*b^2 = 1+1+1 = 1 != 0 over F2, so not endo-commutative
-    with pytest.raises(NotEndoCommutative):
-        ii1_subclass(sp(F2, 0, 1, 1, 1, 1, 1))
-
-
-@pytest.mark.parametrize("params, tp", [
-    ((1, 0, 2, 2, 2, 2), AlgebraType.III),
-    ((1, 0, 0, 1, 1, 0), AlgebraType.II_2),
-    ((1, 0, 1, 0, 0, 1), AlgebraType.II_3),
-], ids=["III", "II2", "II3"])
-def test_ii1_subclass_rejects_wrong_type(params, tp):
-    S = sp(F3, *params)
-    assert type_of(S) is tp  # endo-commutative, so the type check is what refuses it
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(S))} is not of type II1$"):
-        ii1_subclass(S)
-
-
-def test_ii1_subclass_rejects_endo_commutative_other_type():
-    S = sp(F3, 1, 0, 0, 0, 0, 0)
-    assert type_of(S) is AlgebraType.I_100
-    with pytest.raises(ValueError, match=r"^S\(1, 0, 0, 0, 0, 0\) is not of type II1$"):
-        ii1_subclass(S)
+    S4 = SParams(F5.zero(), (b + d) * (b + d) * quarter, a, b, -a, d)
+    for S, stratum in ((sp(F5, 0, 1, 1, 0, -1, 2), 1), (sp(F5, 0, -1, 1, 1, -1, 0), 3), (S4, 4)):
+        assert is_type(S, AlgebraType.II_1) and _ii1_stratum(S) == stratum
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,16 @@ import pytest
 
 from endoclass import (AlgebraType, FamilyLabel, FieldDescriptor, FieldError,
                        InfiniteFieldError, OversizedFieldError, SParams, are_isomorphic,
-                       check_iso_system, enumerate_subclasses, enumerate_type,
-                       enumerate_type_ii1, field_from_spec, field_make, ii1_subclass,
-                       is_endo_commutative_straight, iso_classes, theorem_families, transform,
-                       type_of, verify_classification)
+                       check_iso_system, enumerate_type, enumerate_type_ii1, field_from_spec,
+                       field_make, is_endo_commutative_straight, iso_classes,
+                       theorem_families, transform, verify_classification)
 
-from endoclass.algebra import _TYPE_BY_PATTERN, _ec_straight_codes
-from endoclass.classify import _ii1_closed_form
+from endoclass.algebra import _TYPE_BY_PATTERN, _ec_straight_codes, _ii1_stratum, pattern_type
+from endoclass.classify import _by_stratum, _ii1_closed_form
 from endoclass.cli import main
 
 from common import (CHAR2_CATALOG, FINITE_SPECS, SMALL_FIELDS, ScanStarted, _poly_from_code,
-                    forbid_scan, sp)
+                    forbid_scan, is_type, scan_strata, sp)
 
 F2 = field_from_spec("F2")
 F3 = field_from_spec("F3")
@@ -36,10 +35,11 @@ SUBCLASS_COUNTS = {
 
 @pytest.mark.parametrize("spec", SMALL_FIELDS + ["F5^1/x+2"])
 def test_inventory_closed_form_equals_scan(spec):
-    inv = enumerate_subclasses(field_from_spec(spec))
+    field = field_from_spec(spec)
+    closed_form, direct_scan = _by_stratum(enumerate_type_ii1(field)), scan_strata(field)
     for k in (1, 2, 3, 4):
-        closed = [s.codes() for s in inv.closed_form[k]]
-        scanned = [s.codes() for s in inv.direct_scan[k]]
+        closed = [s.codes() for s in closed_form[k]]
+        scanned = [s.codes() for s in direct_scan[k]]
         assert closed == scanned, f"subclass {k}"
         if spec in SUBCLASS_COUNTS:
             assert len(closed) == SUBCLASS_COUNTS[spec][k]
@@ -66,31 +66,23 @@ def test_ii1_closed_form_beyond_the_scan():
 
 @pytest.mark.parametrize("spec", ["F2", "F3", "F4", "F5"])
 def test_inventory_partitions_the_scan(spec):
-    inv = enumerate_subclasses(field_from_spec(spec))
-    all_codes = [s.codes() for s in inv.scan_all]
+    scan = enumerate_type(field_from_spec(spec), "II1")
+    all_codes = [s.codes() for s in scan]
     assert len(set(all_codes)) == len(all_codes)
     union = sorted(c for k in (1, 2, 3, 4) for c in
-                   (s.codes() for s in inv.direct_scan[k]))
+                   (s.codes() for s in _by_stratum(scan)[k]))
     assert union == sorted(all_codes)
-
-
-def test_inventory_scans_the_direct_side(monkeypatch):
-    # the direct side is a real scan, never the closed form again
-    forbid_scan(monkeypatch)
-    with pytest.raises(ScanStarted):
-        enumerate_subclasses(F5)
 
 
 def test_subclass_two_is_empty_everywhere():
     for spec in ("F2", "F3", "F4", "F5", "F7", "F8", "F9"):
-        inv = enumerate_subclasses(field_from_spec(spec))
-        assert inv.direct_scan[2] == []
+        assert scan_strata(field_from_spec(spec))[2] == []
 
 
 def test_scan_members_are_type_ii1():
     for s in enumerate_type_ii1(F4):
-        assert type_of(s) is AlgebraType.II_1
-        assert ii1_subclass(s) in (1, 3, 4)
+        assert is_type(s, AlgebraType.II_1)
+        assert _ii1_stratum(s) in (1, 3, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +116,7 @@ def test_family_members_are_ec_type_ii1():
     for field in (F2, F3, F4, F5):
         for label, s in theorem_families(field):
             assert is_endo_commutative_straight(s), str(label)
-            assert type_of(s) is AlgebraType.II_1, str(label)
+            assert is_type(s, AlgebraType.II_1), str(label)
 
 
 def test_family_labels_carry_parameters():
@@ -415,7 +407,8 @@ def test_orbit_stabilizer_counts_f5():
     assert any(c.outside for c in classes)
     for c in classes:
         assert (len(c.members) + len(c.outside)) * c.automorphisms == c.generators
-        assert all(type_of(s) is not AlgebraType.II_1 for s in c.outside)
+        assert all(is_endo_commutative_straight(s) and pattern_type(s) is not AlgebraType.II_1
+                   for s in c.outside)
 
 
 def test_verify_f16_char2_pattern():
@@ -469,7 +462,7 @@ def test_type_ii1_list_reads_as_a_list_of_sparams():
 def test_enumerate_type_ii1_subclass_filter():
     sub3 = enumerate_type(F4, "II1", subclass=3)
     assert len(sub3) == 9
-    assert all(ii1_subclass(s) == 3 for s in sub3)
+    assert all(is_type(s, AlgebraType.II_1) and _ii1_stratum(s) == 3 for s in sub3)
 
 
 def test_enumerate_type_full_scan_buckets():

@@ -281,6 +281,8 @@ LONG = "1" * (MAX_DIGITS + 1)
     (["table", "--field", "F4", "--algebra", f"0,1,1,0,1,{LONG}w"], "coefficient"),
     (["table", "--field", "F4", "--algebra", f"0,1,1,0,1,w^{LONG}"], "exponent"),
     (["equiv", "--field", "F2(X)", "--relation", "sim3", "--test", f"X^{LONG}", "X"], "exponent"),
+    (["table", "--field", "F5", "--algebra", f'{{"p": {LONG}}}'], "JSON number"),
+    (["table", "--field", "F5", "--algebra", f'[-{LONG}]'], "JSON number"),
 ])
 def test_overlong_numbers_are_refused_with_a_bound_message(capsys, argv, what):
     # int() would raise its own error about sys.set_int_max_str_digits
@@ -474,6 +476,9 @@ def test_help_and_version_still_exit_0(capsys, argv):
     '[1]',                                                # not an object
     '{"p":0,"q":1,"a":1,"b":0,"c":-1,"d":2}',             # numbers, not strings
     '{"p":null,"q":"1","a":"1","b":"0","c":"-1","d":"2"}',
+    # nested past the recursion limit, as invalid and as valid JSON
+    pytest.param('{"p": ' * 3000, id="nested-objects"),
+    pytest.param("[" * 1000 + "]" * 1000, id="nested-arrays"),
 ])
 def test_malformed_json_sparams_is_usage_error(capsys, command, option, sparams):
     argv = [command, "--field", "F5", option, sparams]

@@ -41,8 +41,8 @@ import random
 import pytest
 
 from endoclass import (RelationId, Transform, are_isomorphic, field_from_spec, gf2x,
-                       is_curled, is_square, lift, related, theorem_families,
-                       to_straight_form, transform)
+                       is_square, lift, related, theorem_families, to_straight_form,
+                       transform)
 from endoclass.algebra import (_TYPE_BY_PATTERN, StructureMatrix, _ec_straight_codes,
                                straight_bases, straight_rewrite)
 from endoclass.classify import (_TYPE_ALIASES, _ii1_closed_form, enumerate_type,
@@ -53,9 +53,9 @@ from endoclass.fields import (FieldTables, _format_poly, _parse_poly, _poly_mod,
                               _poly_trim)
 from endoclass.iso import apply_transform_codes, gl2_lifted, sform_orbit, sform_witness
 
-from common import (FINITE_SPECS, SMALL_FIELDS, _poly_from_code, kernel_mismatch, line_points,
-                    poly_mul, random_element, random_structure_codes, straight_rewrite_reference,
-                    tr)
+from common import (FINITE_SPECS, SMALL_FIELDS, _poly_from_code, kernel_mismatch,
+                    lifted_inverse, line_points, poly_mul, random_element,
+                    random_structure_codes, straight_rewrite_reference, tr)
 
 FIELDS_UP_TO_64 = ["F2", "F3", "F4", "F5", "F7", "F8", "F9", "F11", "F13", "F16", "F17",
                    "F19", "F23", "F25", "F27", "F29", "F31", "F32", "F37", "F41", "F43",
@@ -367,7 +367,7 @@ def test_sform_orbit_matches_full_generator_scan(spec):
             assert X.codes() + (params.codes(),) == generators[0], m
         else:
             curled += 1
-            assert normal is None and is_curled(A)
+            assert normal is None
     assert curled >= 4
 
 
@@ -519,7 +519,7 @@ def test_sform_witness_matches_sform_orbit(spec):
 
 def transform_by_elimination(A, X):
     """lift(X)^(-1) * A * X with lift(X) inverted by Gauss-Jordan elimination."""
-    L = lift(X).inverse().entries
+    L = lifted_inverse(lift(X)).entries
     out = []
     for i in range(4):
         me, mf = (sum((L[i][k] * A.rows[k][j] for k in range(1, 4)), L[i][0] * A.rows[0][j])
@@ -537,7 +537,8 @@ def test_transform_matches_elimination_on_gl2_f3():
     zero = StructureMatrix.zero(F3)
     non_sform = StructureMatrix.from_ints(F3, ((1, 2), (2, 0), (1, 1), (0, 2)))
     curled = StructureMatrix.from_ints(F3, ((1, 0), (0, 2), (1, 1), (1, 0)))
-    assert is_curled(zero) and is_curled(curled) and not is_curled(non_sform)
+    assert to_straight_form(zero) is None and to_straight_form(curled) is None
+    assert to_straight_form(non_sform) is not None
     sforms = [s.to_structure_matrix() for s in enumerate_type_ii1(F3)[::7]]
     for A in [zero, non_sform, curled] + sforms:
         for X in gl2:

@@ -23,9 +23,8 @@ from itertools import groupby
 
 import pytest
 
-from common import FINITE_SPECS, OTHER_MODULI, F, sp, tr
-from endoclass import (AlgebraType, are_isomorphic, check_iso_system,
-                       is_endo_commutative_straight, rank, theorem_families, type_of)
+from common import FINITE_SPECS, OTHER_MODULI, F, is_type, sp, tr
+from endoclass import AlgebraType, are_isomorphic, check_iso_system, rank, theorem_families
 
 Q = F("Q")
 F2X = F("F2(X)")
@@ -71,10 +70,6 @@ ODD = ["F5", "F7", "F9", "F13"]
 EVEN = ["F4", "F8", "F16"]
 
 
-def is_ec_ii1(S):
-    return is_endo_commutative_straight(S) and type_of(S) is AlgebraType.II_1
-
-
 @pytest.mark.parametrize("spec", FINITE_SPECS + OTHER_MODULI)
 def test_shapes_give_the_catalogue(spec):
     K = F(spec)
@@ -96,15 +91,15 @@ def test_shapes_give_the_catalogue(spec):
 @pytest.mark.parametrize("tag", ["S1'", "S2'", "S3'", "S4'"])
 def test_char2_shapes_at_the_generic_point(tag):
     S = SHAPES[tag](F2X, F2X.parse("X"))
-    assert is_ec_ii1(S), str(S)
+    assert is_type(S, AlgebraType.II_1), str(S)
 
 
 def test_odd_shapes_hold_for_every_t():
     for n in range(2, 40):
         t = Q.from_int(n)
-        assert is_ec_ii1(s4(Q, t)), n
+        assert is_type(s4(Q, t), AlgebraType.II_1), n
         for eps, delta in SIGNS:
-            assert is_ec_ii1(s3(Q, t, eps, delta)), (n, eps, delta)
+            assert is_type(s3(Q, t, eps, delta), AlgebraType.II_1), (n, eps, delta)
 
 
 @pytest.mark.parametrize("spec", ODD)
@@ -113,7 +108,7 @@ def test_s4_at_its_excluded_values(spec):
     for t in (K.one(), -K.one()):
         assert rank(s4(K, t).to_structure_matrix()) == 1
     at_zero = s4(K, K.zero())
-    assert is_ec_ii1(at_zero)
+    assert is_type(at_zero, AlgebraType.II_1)
     assert are_isomorphic(at_zero.to_structure_matrix(), s2(K).to_structure_matrix()) is not None
 
 

@@ -2,16 +2,17 @@ import random
 
 import pytest
 
-from endoclass import (FieldMismatchError, InfiniteFieldError, LiftedTransform,
+from endoclass import (AlgebraType, FieldMismatchError, InfiniteFieldError, LiftedTransform,
                        SingularTransformError, SParams, Transform,
                        are_isomorphic, check_iso_system, field_from_spec,
                        is_endo_commutative_straight, lift, rank, transform,
-                       theorem_families, type_of)
+                       theorem_families)
 from endoclass import algebra, iso
 from endoclass.classify import enumerate_type_ii1, iso_classes
 from endoclass.iso import gl2_lifted
 
-from common import random_element, random_transform, sp, tr
+from common import (is_type, lifted_identity, lifted_inverse, lifted_product, random_element,
+                    random_transform, sp, tr)
 
 F3 = field_from_spec("F3")
 F5 = field_from_spec("F5")
@@ -39,7 +40,7 @@ def test_singular_transform_rejected():
 
 
 def test_lift_identity():
-    assert lift(Transform.identity(F5)) == LiftedTransform.identity(F5)
+    assert lift(Transform.identity(F5)) == lifted_identity(F5)
 
 
 def test_lift_swap():
@@ -60,7 +61,7 @@ def test_lift_homomorphism_exhaustive_f3():
     lifts = {X.codes(): lift(X) for X in gl2}
     for X in gl2:
         for Y in gl2:
-            assert lift(X @ Y) == lifts[X.codes()] @ lifts[Y.codes()]
+            assert lift(X @ Y) == lifted_product(lifts[X.codes()], lifts[Y.codes()])
 
 
 def test_lift_homomorphism_random_f5():
@@ -68,7 +69,7 @@ def test_lift_homomorphism_random_f5():
     for _ in range(300):
         X = random_transform(F5, rng)
         Y = random_transform(F5, rng)
-        assert lift(X @ Y) == lift(X) @ lift(Y)
+        assert lift(X @ Y) == lifted_product(lift(X), lift(Y))
 
 
 def test_gauss_inverse_agrees_with_lift_of_inverse():
@@ -76,7 +77,7 @@ def test_gauss_inverse_agrees_with_lift_of_inverse():
     for field in (F5, field_from_spec("F9")):
         for _ in range(60):
             X = random_transform(field, rng)
-            assert lift(X).inverse() == lift(X.inverse())
+            assert lifted_inverse(lift(X)) == lift(X.inverse())
 
 
 @pytest.mark.parametrize("spec", ["Q", "F2(X)"])
@@ -88,7 +89,7 @@ def test_gauss_inverse_agrees_with_lift_of_inverse_over_infinite_fields(spec):
         X = [random_element(field, rng) for _ in range(4)]
         if X[0] * X[3] != X[1] * X[2]:
             X = Transform(*X)
-            assert lift(X).inverse() == lift(X.inverse())
+            assert lifted_inverse(lift(X)) == lift(X.inverse())
             count += 1
 
 
@@ -98,11 +99,11 @@ def test_singular_lifted_transform_has_no_inverse(spec):
     one, zero = field.one(), field.zero()
     rows = [[zero] * 4 for _ in range(4)]
     with pytest.raises(SingularTransformError):
-        LiftedTransform(field, rows).inverse()
+        lifted_inverse(LiftedTransform(field, rows))
     # rank 3: the identity with its last row copied from the first
     rows = [[one if i == j else zero for j in range(4)] for i in range(3)]
     with pytest.raises(SingularTransformError):
-        LiftedTransform(field, rows + [rows[0]]).inverse()
+        lifted_inverse(LiftedTransform(field, rows + [rows[0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +149,7 @@ def test_transform_field_mismatch():
 
 def test_lifted_transform_field_mismatch():
     with pytest.raises(FieldMismatchError):
-        LiftedTransform.identity(F5) @ LiftedTransform.identity(F3)
+        lifted_product(lifted_identity(F5), lifted_identity(F3))
 
 
 def test_equal_lifts_hash_equal():
@@ -156,7 +157,7 @@ def test_equal_lifts_hash_equal():
     M = lift(tr(F5, 1, 2, 0, 4))
     assert L == M and hash(L) == hash(M)
     assert L != lift(Transform.identity(F5)) and L != L.entries
-    assert repr(LiftedTransform.identity(F3)) == (
+    assert repr(lifted_identity(F3)) == (
         "LiftedTransform(((1 @ F3, 0 @ F3, 0 @ F3, 0 @ F3), (0 @ F3, 1 @ F3, 0 @ F3, 0 @ F3), "
         "(0 @ F3, 0 @ F3, 1 @ F3, 0 @ F3), (0 @ F3, 0 @ F3, 0 @ F3, 1 @ F3)))")
 
@@ -373,7 +374,7 @@ def test_type_bucket_depends_on_the_presentation():
     # both an I.100 presentation and a II1 presentation
     A = sp(F3, 1, 0, 0, 0, 0, 0)
     B = sp(F3, 0, 1, 2, 0, 2, 0)
-    assert type_of(A).value == "I.100" and type_of(B).value == "II1"
+    assert is_type(A, AlgebraType.I_100) and is_type(B, AlgebraType.II_1)
     w = are_isomorphic(A.to_structure_matrix(), B.to_structure_matrix())
     assert w is not None
     assert transform(A.to_structure_matrix(), w) == B.to_structure_matrix()

@@ -11,13 +11,12 @@ import io
 import string
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from endoclass import (SParams, field_from_spec, gf2x, is_endo_commutative_definitional,
-                       is_endo_commutative_straight)
+from endoclass import SParams, field_from_spec, gf2x, is_endo_commutative_straight
 from endoclass.cli import main
 
-from common import FINITE_SPECS
+from common import FINITE_SPECS, is_endo_commutative_definitional
 
 SETTINGS = settings(max_examples=40, deadline=None, database=None, derandomize=True)
 
@@ -125,13 +124,19 @@ def test_malformed_field_spec_exits_2(spec):
 
 atom = st.sampled_from(["0", "1", "-1", "4", "w", "x^2", "1/0", "abc", "2^", "^3",
                         "{", "}", "null", "3.5", "", " "]) | st.text(string.printable, max_size=4)
+# JSON nested past the interpreter's recursion limit, valid or not
+DEEP_NESTING = ["[" * 100_000, "[" * 1000 + "]" * 1000, '{"p": ' * 3000]
 malformed_tuples = (st.lists(atom, max_size=8).map(",".join)
                     | st.text(max_size=16)
-                    | st.sampled_from(['{"p":"0"}', '[0,1,1,0,-1,2]', '{"p":', '{}']))
+                    | st.sampled_from(['{"p":"0"}', '[0,1,1,0,-1,2]', '{"p":', '{}',
+                                       *DEEP_NESTING]))
 
 
 @SETTINGS
 @given(malformed_tuples)
+@example(DEEP_NESTING[0])
+@example(DEEP_NESTING[1])
+@example(DEEP_NESTING[2])
 def test_malformed_sparams_exits_2(text):
     code, out = run_main(["table", "--field", "F5", "--algebra", text])
     assert code in (0, 2)

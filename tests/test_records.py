@@ -5,15 +5,18 @@ and Transform share."""
 
 import pytest
 
-from endoclass import (AlgebraElement, FamilyLabel, FieldElement, FieldMismatchError,
+from endoclass import (FamilyLabel, FieldElement, FieldMismatchError,
                        InfiniteFieldError, RelationId, SingularTransformError, SParams, Transform,
                        field_from_spec, rep_system)
+
+from common import AlgebraElement
 
 F3 = field_from_spec("F3")
 F5 = field_from_spec("F5")
 
 
 # each frozen record type: a builder over a field, and the name of its first field
+# (AlgebraElement is the record of the reference product in tests/common.py)
 KINDS = {
     "SParams": (lambda f: SParams.from_ints(f, 0, 1, 1, 0, -1, 2), "p"),
     "Transform": (lambda f: Transform.from_ints(f, 1, 2, 0, 1), "x"),
